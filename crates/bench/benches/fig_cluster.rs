@@ -161,9 +161,76 @@ fn fleet_smoke() {
     );
 }
 
+/// The routed leg of `TALLY_FLEET_SMOKE=1`: 128 devices on a DGX
+/// topology under `LoadAware` with 10 ms rebalancing, so every pass
+/// prices a transfer from each best-effort client's device to every
+/// other device. The cluster keeps one widest-path row per source device
+/// for the whole run; recomputing paths per candidate and destination
+/// would make each pass cost O(devices³ · links) and blow the budget.
+fn routed_fleet_smoke() {
+    const DEVICES: usize = 128;
+    const BUDGET_SECS: u64 = 60;
+    banner("Fleet smoke: 128 routed devices, load-aware, 10 ms rebalancing");
+    let spec = GpuSpec::a100();
+    let cfg = HarnessConfig {
+        duration: SimSpan::from_millis(500),
+        warmup: SimSpan::ZERO,
+        seed: 3,
+        jitter: 0.0,
+        record_timelines: false,
+    };
+    // One phase-shifted pair of services and trainers per two devices.
+    let mut jobs = Vec::new();
+    for copy in 0..DEVICES / 2 {
+        for mut job in mixes::phase_shifted(&spec, SimSpan::from_millis(100), cfg.duration, 0.8) {
+            job.client_key = Some(format!("{}/c{copy}", job.key()));
+            jobs.push(job);
+        }
+    }
+    let start = host_now();
+    let report = with_bench_threads(
+        Cluster::new()
+            .devices(DEVICES, spec)
+            .clients(jobs)
+            .policy(LoadAware::default())
+            .topology(Topology::dgx(DEVICES))
+            .rebalance_every(SimSpan::from_millis(10))
+            .migrate_on_detach(false)
+            .config(cfg),
+    )
+    .run();
+    let wall = start.elapsed();
+    assert_eq!(report.devices.len(), DEVICES);
+    // A Whisper-V3 iteration outlasts the run, so only the services'
+    // progress is checked; the moves prove the priced path ran.
+    assert!(
+        report
+            .clients
+            .iter()
+            .filter(|c| c.report.high_priority)
+            .all(|c| c.report.requests > 0),
+        "every service must complete requests"
+    );
+    assert!(report.migrations > 0, "load-aware must move someone");
+    println!(
+        "128-device routed fleet: {} barriers, {} migrations, {} load snapshots, {:.2}s wall ({} threads)",
+        report.host.barriers,
+        report.migrations,
+        report.host.load_snapshots,
+        wall.as_secs_f64(),
+        report.host.threads,
+    );
+    assert!(
+        wall.as_secs() < BUDGET_SECS,
+        "128-device routed smoke took {:.1}s, budget {BUDGET_SECS}s",
+        wall.as_secs_f64()
+    );
+}
+
 fn main() {
     if std::env::var("TALLY_FLEET_SMOKE").as_deref() == Ok("1") {
         fleet_smoke();
+        routed_fleet_smoke();
         return;
     }
     let mut sink = JsonSink::from_args("fig_cluster");

@@ -548,11 +548,13 @@ mod tests {
 
     fn doc(rows: &[RowSpec<'_>]) -> BenchDoc {
         // Write through the real sink and parse back, so the format stays
-        // covered end to end.
+        // covered end to end. Tests run in parallel: the sequence number
+        // gives every call its own file.
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let path = std::env::temp_dir().join(format!(
             "tally_diff_test_{}_{}.json",
             std::process::id(),
-            rows.len()
+            SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
         let mut sink = JsonSink::to_path("t", Some(path.clone()));
         for (m, v, tags) in rows {

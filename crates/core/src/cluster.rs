@@ -84,7 +84,7 @@
 //! ```
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use tally_gpu::{GpuSpec, SimSpan, SimTime};
 
@@ -97,7 +97,7 @@ use crate::harness::{
 use crate::metrics::{ClientReport, HostStats, LatencyRecorder};
 use crate::system::{Passthrough, SharingSystem};
 use crate::timewheel::{TimerId, TimerWheel};
-use crate::topology::Topology;
+use crate::topology::{RouteTable, Topology};
 
 /// Load snapshot of one device, handed to [`PlacementPolicy`] decisions.
 ///
@@ -779,23 +779,32 @@ impl Cluster {
             }
         }
 
+        let mut host = HostStats {
+            threads,
+            ..HostStats::default()
+        };
+
         // Up-front placement of the explicitly added jobs, one at a time
-        // against the loads so far. `locations` maps fleet client ->
+        // against the loads so far: only the chosen device's snapshot
+        // changes, by one resident (exact — a snapshot is a left fold of
+        // its residents from zero). `locations` maps fleet client ->
         // (device, session-local slot) and is maintained across migrations;
         // trace clients get theirs when they are injected at first arrival.
         let mut placed_jobs: Vec<Vec<JobSpec>> = vec![Vec::new(); n];
         let mut placements: Vec<Option<usize>> = vec![None; jobs.len()];
         let mut locations: Vec<Option<(usize, usize)>> = vec![None; jobs.len()];
+        let mut loads: Vec<DeviceLoad> = devices
+            .iter()
+            .enumerate()
+            .map(|(d, spec)| load_of(d, spec, std::iter::empty()))
+            .collect();
+        host.load_snapshots += n as u64;
         for (k, job) in jobs.iter().enumerate().take(upfront) {
-            let loads: Vec<DeviceLoad> = devices
-                .iter()
-                .enumerate()
-                .map(|(d, spec)| load_of(d, spec, placed_jobs[d].iter()))
-                .collect();
             let d = policy.place(job, &loads);
             assert!(d < n, "policy `{}` placed on device {d}/{n}", policy.name());
             placements[k] = Some(d);
             locations[k] = Some((d, placed_jobs[d].len()));
+            loads[d].add_resident(job.priority.is_high(), job_demand(job, &devices[d]));
             placed_jobs[d].push(job.clone());
         }
         // Trace clients await injection in first-arrival order (the order
@@ -840,10 +849,9 @@ impl Cluster {
         let mut per_client_stall = vec![SimSpan::ZERO; jobs.len()];
         let mut migrations_in = vec![0u64; n];
         let mut migrations_out = vec![0u64; n];
-        let mut host = HostStats {
-            threads,
-            ..HostStats::default()
-        };
+        // Widest-path bandwidths, one source row at a time as migrations
+        // from that device get priced; never filled under the flat default.
+        let mut routes = RouteTable::new(&topology);
         // Fleet-level wake forecast, all in one wheel: one departure timer
         // per device holding its session's next window-close (recomputed
         // only when its lifecycle epoch changed, so idle devices are never
@@ -878,6 +886,7 @@ impl Cluster {
                     &monitor,
                     &mut placements,
                     &mut locations,
+                    &mut host,
                 );
             }
             for s in sessions.iter_mut() {
@@ -904,9 +913,19 @@ impl Cluster {
             }
             if do_rebalance && now < end {
                 let moved = rebalance_pass(
-                    policy.as_mut(),
+                    &mut |_, job, from, loads| {
+                        let target = policy.migrate(job, from, loads);
+                        if let Some(t) = target {
+                            assert!(
+                                t < n,
+                                "policy `{}` migrated to device {t}/{n}",
+                                policy.name()
+                            );
+                        }
+                        target
+                    },
                     &devices,
-                    &topology,
+                    &mut routes,
                     &mut sessions,
                     &mut locations,
                     &jobs,
@@ -923,6 +942,7 @@ impl Cluster {
                         migration_bytes: &mut migration_bytes,
                         migration_stall: &mut migration_stall,
                     },
+                    &mut host,
                 );
                 fleet_emit(
                     &all_observers,
@@ -1027,6 +1047,7 @@ impl Cluster {
                 &monitor,
                 &mut placements,
                 &mut locations,
+                &mut host,
             );
         }
 
@@ -1160,13 +1181,30 @@ fn fleet_emit(
     }
 }
 
-/// Load snapshot of a device from an iterator of resident jobs. Runtime
-/// signals start at zero; [`fill_runtime_signals`] copies them in from the
-/// cluster's monitor.
-fn load_of<'j>(
+impl DeviceLoad {
+    /// Counts one more resident of the given class and demand. Every
+    /// snapshot's static half is a left fold of this from zero over the
+    /// residents in session slot order, so rebuilding a device and
+    /// extending it by one resident give bit-identical sums.
+    fn add_resident(&mut self, high_priority: bool, demand: f64) {
+        self.clients += 1;
+        if high_priority {
+            self.high_priority += 1;
+        } else {
+            self.best_effort += 1;
+        }
+        self.demand += demand;
+    }
+}
+
+/// Load snapshot of a device from its residents, given as
+/// `(high priority, demand)` in session slot order. Runtime signals start
+/// at zero; [`fill_runtime_signals`] copies them in from the cluster's
+/// monitor.
+fn load_of(
     device: usize,
     spec: &GpuSpec,
-    residents: impl Iterator<Item = &'j JobSpec>,
+    residents: impl Iterator<Item = (bool, f64)>,
 ) -> DeviceLoad {
     let mut load = DeviceLoad {
         device,
@@ -1180,24 +1218,66 @@ fn load_of<'j>(
         hp_pressure: 0.0,
         transfer: Some(SimSpan::ZERO),
     };
-    for job in residents {
-        load.clients += 1;
-        if job.priority.is_high() {
-            load.high_priority += 1;
-        } else {
-            load.best_effort += 1;
-        }
-        load.demand += job_demand(job, spec);
+    for (high_priority, demand) in residents {
+        load.add_resident(high_priority, demand);
     }
     load
 }
 
 /// Copies the monitor's live signals into a [`DeviceLoad`] snapshot.
-fn fill_runtime_signals(load: &mut DeviceLoad, monitor: &Arc<Mutex<LoadMonitor>>, now: SimTime) {
-    let m = monitor.lock().expect("load monitor poisoned");
-    load.queue_depth = m.queue_depth(load.device);
-    load.recent_occupancy = m.recent_occupancy(load.device, now);
-    load.hp_pressure = m.hp_pressure(load.device, now);
+fn fill_runtime_signals(load: &mut DeviceLoad, monitor: &LoadMonitor, now: SimTime) {
+    load.queue_depth = monitor.queue_depth(load.device);
+    load.recent_occupancy = monitor.recent_occupancy(load.device, now);
+    load.hp_pressure = monitor.hp_pressure(load.device, now);
+}
+
+/// Which of a session's clients a load snapshot counts.
+#[derive(Clone, Copy)]
+enum Residents {
+    /// Attached right now: the migration view.
+    Active,
+    /// Attached, or admitted with a window opening at the snapshot
+    /// instant (it attaches in the next settle): the placement view, so a
+    /// burst of same-instant arrivals sees its earlier siblings.
+    Loadable,
+}
+
+/// A from-scratch snapshot of device `dev` at `now`: the counted
+/// residents' cached demands summed in session slot order, plus the
+/// monitor's live signals. Counted in [`HostStats::load_snapshots`].
+fn snapshot(
+    dev: usize,
+    spec: &GpuSpec,
+    session: &Session<'_>,
+    residents: Residents,
+    monitor: &LoadMonitor,
+    now: SimTime,
+    host: &mut HostStats,
+) -> DeviceLoad {
+    host.load_snapshots += 1;
+    let counted = (0..session.client_len()).filter(|&i| {
+        !session.client_is_tombstone(i)
+            && match residents {
+                Residents::Active => session.client_active(i),
+                Residents::Loadable => session.client_loadable(i, now),
+            }
+    });
+    let mut load = load_of(
+        dev,
+        spec,
+        counted.map(|i| {
+            (
+                session.client_spec(i).priority.is_high(),
+                session.client_demand(i),
+            )
+        }),
+    );
+    fill_runtime_signals(&mut load, monitor, now);
+    load
+}
+
+fn lock_monitor(monitor: &Mutex<LoadMonitor>) -> std::sync::MutexGuard<'_, LoadMonitor> {
+    monitor.lock().expect("load monitor poisoned")
 }
 
 /// Places a trace client at its injection instant: snapshots the loads of
@@ -1212,19 +1292,29 @@ fn place_pending(
     jobs: &[JobSpec],
     k: usize,
     now: SimTime,
-    monitor: &Arc<Mutex<LoadMonitor>>,
+    monitor: &Mutex<LoadMonitor>,
     placements: &mut [Option<usize>],
     locations: &mut [Option<(usize, usize)>],
+    host: &mut HostStats,
 ) {
-    let loads: Vec<DeviceLoad> = devices
-        .iter()
-        .enumerate()
-        .map(|(dev, spec)| {
-            let mut load = load_of(dev, spec, loadable_specs(&sessions[dev], now));
-            fill_runtime_signals(&mut load, monitor, now);
-            load
-        })
-        .collect();
+    let loads: Vec<DeviceLoad> = {
+        let m = lock_monitor(monitor);
+        devices
+            .iter()
+            .enumerate()
+            .map(|(dev, spec)| {
+                snapshot(
+                    dev,
+                    spec,
+                    &sessions[dev],
+                    Residents::Loadable,
+                    &m,
+                    now,
+                    host,
+                )
+            })
+            .collect()
+    };
     let d = policy.place(&jobs[k], &loads);
     assert!(
         d < sessions.len(),
@@ -1249,29 +1339,53 @@ struct MigrationTallies<'a> {
     migration_stall: &'a mut SimSpan,
 }
 
-/// One migration pass: offer the policy every active best-effort client,
-/// in fleet order, re-snapshotting loads after each move. Clients sitting
-/// in the gap between two scheduled windows (detached-by-schedule) are not
-/// candidates — they hold no device resources and resume where they left
-/// off. Each candidate's loads carry the projected state-transfer stall
-/// to every device ([`DeviceLoad::transfer`]); a chosen move is charged
-/// that stall on the destination, and moves to topologically unreachable
-/// devices are refused. Every move is announced to the observers as
-/// [`Observation::ClientMigrated`]. Returns how many clients moved.
+/// A migration decision: the candidate's spec, its current device, and
+/// the fleet's loads as of this candidate, with the fleet's sessions in
+/// view (the cluster consults its [`PlacementPolicy::migrate`]).
+type MigrateFn<'f> =
+    dyn FnMut(&[Session<'static>], &JobSpec, usize, &[DeviceLoad]) -> Option<usize> + 'f;
+
+/// One migration pass: offer `migrate` every active best-effort client,
+/// in fleet order. Clients sitting in the gap between two scheduled
+/// windows (detached-by-schedule) are not candidates — they hold no
+/// device resources and resume where they left off.
+///
+/// The pass builds one snapshot per device up front and keeps it equal
+/// to a from-scratch rebuild at every decision: between candidates only
+/// the projected state-transfer stall ([`DeviceLoad::transfer`], from the
+/// route table) is rewritten, and after a move exactly the source and
+/// target are rebuilt — re-summed in slot order, never adjusted by float
+/// add/subtract, which would not round the same. A move touches no other
+/// session and no other device's monitor signals. A chosen move is
+/// charged its stall on the destination, and moves to topologically
+/// unreachable devices are refused. Every move is announced to the
+/// observers as [`Observation::ClientMigrated`]. Returns how many clients
+/// moved.
 #[allow(clippy::too_many_arguments)]
 fn rebalance_pass(
-    policy: &mut dyn PlacementPolicy,
+    migrate: &mut MigrateFn<'_>,
     devices: &[GpuSpec],
-    topology: &Topology,
+    routes: &mut RouteTable<'_>,
     sessions: &mut [Session<'static>],
     locations: &mut [Option<(usize, usize)>],
     jobs: &[JobSpec],
     now: SimTime,
-    monitor: &Arc<Mutex<LoadMonitor>>,
+    monitor: &Mutex<LoadMonitor>,
     observers: &[SharedObserver],
     sync: &[SharedSyncObserver],
     tallies: &mut MigrationTallies<'_>,
+    host: &mut HostStats,
 ) -> u64 {
+    let mut loads: Vec<DeviceLoad> = {
+        let m = lock_monitor(monitor);
+        devices
+            .iter()
+            .enumerate()
+            .map(|(dev, spec)| {
+                snapshot(dev, spec, &sessions[dev], Residents::Active, &m, now, host)
+            })
+            .collect()
+    };
     let mut moved = 0;
     for k in 0..jobs.len() {
         let Some((d, slot)) = locations[k] else {
@@ -1280,30 +1394,17 @@ fn rebalance_pass(
         if jobs[k].priority.is_high() || !sessions[d].client_active(slot) {
             continue;
         }
-        let job = sessions[d].client_spec(slot).clone();
-        let loads: Vec<DeviceLoad> = devices
-            .iter()
-            .enumerate()
-            .map(|(dev, spec)| {
-                let mut load = load_of(dev, spec, active_specs(&sessions[dev]));
-                fill_runtime_signals(&mut load, monitor, now);
-                load.transfer = topology.transfer_time(job.state_bytes, d, dev);
-                load
-            })
-            .collect();
-        let Some(target) = policy.migrate(&job, d, &loads) else {
+        let bytes = sessions[d].client_spec(slot).state_bytes;
+        for (dev, load) in loads.iter_mut().enumerate() {
+            load.transfer = routes.transfer_time(bytes, d, dev);
+        }
+        let Some(target) = migrate(sessions, sessions[d].client_spec(slot), d, &loads) else {
             continue;
         };
-        assert!(
-            target < sessions.len(),
-            "policy `{}` migrated to device {target}/{}",
-            policy.name(),
-            sessions.len()
-        );
         if target == d {
             continue;
         }
-        let Some(stall) = topology.transfer_time(job.state_bytes, d, target) else {
+        let Some(stall) = routes.transfer_time(bytes, d, target) else {
             continue; // no interconnect path — the move is refused
         };
         let (meta, client) = sessions[d].extract_client(slot);
@@ -1314,7 +1415,7 @@ fn rebalance_pass(
         tallies.migrations_out[d] += 1;
         tallies.migrations_in[target] += 1;
         *tallies.migrations += 1;
-        *tallies.migration_bytes += job.state_bytes;
+        *tallies.migration_bytes += bytes;
         *tallies.migration_stall += stall;
         moved += 1;
         let ev = Observation::ClientMigrated {
@@ -1323,33 +1424,24 @@ fn rebalance_pass(
             to: target,
             from_client: tally_gpu::ClientId(slot as u32),
             to_client: new_id,
-            bytes: job.state_bytes,
+            bytes,
             stall,
         };
         fleet_emit(observers, sync, now, d, &ev);
+        let m = lock_monitor(monitor);
+        for dev in [d, target] {
+            loads[dev] = snapshot(
+                dev,
+                &devices[dev],
+                &sessions[dev],
+                Residents::Active,
+                &m,
+                now,
+                host,
+            );
+        }
     }
     moved
-}
-
-/// The specs of a session's currently active clients.
-fn active_specs<'a, 's>(
-    session: &'a Session<'s>,
-) -> impl Iterator<Item = &'a JobSpec> + use<'a, 's> {
-    (0..session.client_len())
-        .filter(move |&i| !session.client_is_tombstone(i) && session.client_active(i))
-        .map(move |i| session.client_spec(i))
-}
-
-/// The specs counting toward placement load at `now`: active clients plus
-/// those admitted this instant that have not settled into attachment yet
-/// (so a burst of same-instant arrivals sees its earlier siblings).
-fn loadable_specs<'a, 's>(
-    session: &'a Session<'s>,
-    now: SimTime,
-) -> impl Iterator<Item = &'a JobSpec> + use<'a, 's> {
-    (0..session.client_len())
-        .filter(move |&i| !session.client_is_tombstone(i) && session.client_loadable(i, now))
-        .map(move |i| session.client_spec(i))
 }
 
 /// Outcome of one cluster run.
@@ -1972,6 +2064,173 @@ mod tests {
             self.seen.borrow_mut().extend(devices.iter().cloned());
             None
         }
+    }
+
+    /// A fleet driven by hand, as [`Cluster::run`] drives one, up to a
+    /// migration pass.
+    struct HandFleet {
+        sessions: Vec<Session<'static>>,
+        monitor: Arc<Mutex<LoadMonitor>>,
+        jobs: Vec<JobSpec>,
+        locations: Vec<Option<(usize, usize)>>,
+    }
+
+    /// 16 devices at 200 ms, ready for one migration pass: devices 0–3
+    /// each host a saturating service and two 1 GB trainers, device 15 a
+    /// lone trainer, and the rest sit idle.
+    fn hot_fleet() -> HandFleet {
+        let monitor = LoadMonitor::shared_sync(SimSpan::from_millis(50));
+        let mut jobs = Vec::new();
+        let mut locations = Vec::new();
+        let mut sessions: Vec<Session<'static>> = (0..16)
+            .map(|d| {
+                let mut resident = Vec::new();
+                if d < 4 {
+                    resident.push(JobSpec::inference(
+                        format!("svc{d}"),
+                        vec![WorkloadOp::Kernel(kernel(2000))],
+                        (0..500).map(|i| SimTime::from_micros(2000 * i)).collect(),
+                    ));
+                    for t in 0..2 {
+                        resident
+                            .push(trainer(&format!("t{d}.{t}"), 2000, 0).with_state_bytes(1 << 30));
+                    }
+                }
+                if d == 15 {
+                    resident.push(trainer("calm", 2000, 0));
+                }
+                for (slot, job) in resident.iter().enumerate() {
+                    jobs.push(job.clone());
+                    locations.push(Some((d, slot)));
+                }
+                let mut dev_cfg = cfg(1);
+                dev_cfg.seed = d as u64;
+                let mut session = Colocation::on(GpuSpec::tiny())
+                    .clients(resident)
+                    .config(dev_cfg)
+                    .into_session();
+                session.set_device_index(d);
+                session.add_sync_observer(monitor.clone());
+                session
+            })
+            .collect();
+        let mut now = SimTime::ZERO;
+        while now < SimTime::from_millis(200) {
+            for s in sessions.iter_mut() {
+                s.settle();
+            }
+            now += SimSpan::from_millis(10);
+            advance_fleet(&mut sessions, now, 1);
+            for s in sessions.iter_mut() {
+                s.flush_events();
+            }
+        }
+        for s in sessions.iter_mut() {
+            s.settle();
+        }
+        HandFleet {
+            sessions,
+            monitor,
+            jobs,
+            locations,
+        }
+    }
+
+    /// Runs one [`rebalance_pass`] over `fleet`, on a DGX topology, with
+    /// `spy` deciding every migration; returns the moves and the pass's
+    /// host counters.
+    fn hand_pass(fleet: HandFleet, spy: &mut MigrateFn<'_>) -> (u64, HostStats) {
+        let HandFleet {
+            mut sessions,
+            monitor,
+            jobs,
+            mut locations,
+        } = fleet;
+        let topology = Topology::dgx(16);
+        let mut routes = RouteTable::new(&topology);
+        let (mut migrations, mut bytes, mut stall) = (0, 0, SimSpan::ZERO);
+        let mut per_client = (vec![0; jobs.len()], vec![SimSpan::ZERO; jobs.len()]);
+        let (mut ins, mut outs) = (vec![0; 16], vec![0; 16]);
+        let mut host = HostStats::default();
+        let now = sessions[0].now();
+        let sync: SharedSyncObserver = monitor.clone();
+        let moved = rebalance_pass(
+            spy,
+            &vec![GpuSpec::tiny(); 16],
+            &mut routes,
+            &mut sessions,
+            &mut locations,
+            &jobs,
+            now,
+            &monitor,
+            &[],
+            std::slice::from_ref(&sync),
+            &mut MigrationTallies {
+                per_client_migrations: &mut per_client.0,
+                per_client_stall: &mut per_client.1,
+                migrations_in: &mut ins,
+                migrations_out: &mut outs,
+                migrations: &mut migrations,
+                migration_bytes: &mut bytes,
+                migration_stall: &mut stall,
+            },
+            &mut host,
+        );
+        assert_eq!(moved, migrations);
+        (moved, host)
+    }
+
+    #[test]
+    fn every_migrate_call_sees_a_from_scratch_snapshot() {
+        let topology = Topology::dgx(16);
+        let spec = GpuSpec::tiny();
+        let mut policy = LoadAware::default();
+        let mut calls = 0;
+        let fleet = hot_fleet();
+        let monitor = fleet.monitor.clone();
+        let (moved, _) = hand_pass(fleet, &mut |sessions, job, from, loads| {
+            calls += 1;
+            let now = sessions[0].now();
+            // Rebuilt from the specs (not the cached demands), the
+            // monitor, and the topology (not the route table).
+            let fresh: Vec<DeviceLoad> = sessions
+                .iter()
+                .enumerate()
+                .map(|(dev, s)| {
+                    let active = (0..s.client_len())
+                        .filter(|&i| !s.client_is_tombstone(i) && s.client_active(i))
+                        .map(|i| s.client_spec(i));
+                    let mut load = load_of(
+                        dev,
+                        &spec,
+                        active.map(|j| (j.priority.is_high(), job_demand(j, &spec))),
+                    );
+                    fill_runtime_signals(&mut load, &lock_monitor(&monitor), now);
+                    load.transfer = topology.transfer_time(job.state_bytes, from, dev);
+                    load
+                })
+                .collect();
+            assert_eq!(format!("{loads:?}"), format!("{fresh:?}"), "call {calls}");
+            policy.migrate(job, from, loads)
+        });
+        assert!(
+            moved >= 2,
+            "the pass must move at least twice, moved {moved}"
+        );
+        assert!(
+            calls > moved,
+            "a candidate that stays was offered after the moves"
+        );
+    }
+
+    #[test]
+    fn a_pass_builds_one_snapshot_per_device_plus_two_per_move() {
+        let mut policy = LoadAware::default();
+        let (moved, host) = hand_pass(hot_fleet(), &mut |_, job, from, loads| {
+            policy.migrate(job, from, loads)
+        });
+        assert!(moved >= 2, "moved {moved}");
+        assert_eq!(host.load_snapshots, 16 + 2 * moved);
     }
 
     #[test]

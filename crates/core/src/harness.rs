@@ -48,6 +48,7 @@ use tally_gpu::{ClientId, Engine, GpuSpec, KernelDesc, Priority, SimSpan, SimTim
 
 use crate::admission::{AdmissionPolicy, AdmissionVerdict};
 use crate::api::{ClientStub, Transport};
+use crate::cluster::job_demand;
 use crate::events::{ClientEvent, Observation, SharedObserver, SharedSyncObserver, TraceError};
 use crate::metrics::{ClientReport, LatencyRecorder, RunReport};
 use crate::system::{ClientMeta, Ctx, Passthrough, SharingSystem};
@@ -979,6 +980,11 @@ pub struct Session<'s> {
 pub(crate) struct SessionCore<'s> {
     engine: Engine,
     metas: Vec<ClientMeta>,
+    // Each client slot's `job_demand` on this session's GPU, computed
+    // once when the client joins (construction, admission, or a
+    // migration's arrival) so the fleet's load snapshots sum it instead
+    // of re-walking kernel lists. Parallel to `clients`, like `metas`.
+    demands: Vec<f64>,
     clients: Vec<Client>,
     system: SystemSlot<'s>,
     end: SimTime,
@@ -1075,6 +1081,7 @@ impl<'s> SessionCore<'s> {
             engine.set_jitter(cfg.jitter);
         }
         let metas: Vec<ClientMeta> = jobs.iter().map(meta_of).collect();
+        let demands = jobs.iter().map(|j| job_demand(j, spec)).collect();
         let mut clients: Vec<Client> = jobs.into_iter().map(Client::new).collect();
         for c in &mut clients {
             c.record_timelines = cfg.record_timelines;
@@ -1085,6 +1092,7 @@ impl<'s> SessionCore<'s> {
         let mut core = SessionCore {
             engine,
             metas,
+            demands,
             clients,
             system,
             end: SimTime::ZERO + cfg.duration,
@@ -1634,6 +1642,10 @@ impl<'s> SessionCore<'s> {
         &self.clients[i].spec
     }
 
+    pub(crate) fn client_demand(&self, i: usize) -> f64 {
+        self.demands[i]
+    }
+
     pub(crate) fn client_is_tombstone(&self, i: usize) -> bool {
         self.clients[i].migrated_away
     }
@@ -1707,6 +1719,8 @@ impl<'s> SessionCore<'s> {
     ) -> ClientId {
         let id = ClientId(self.clients.len() as u32);
         self.metas.push(meta);
+        self.demands
+            .push(job_demand(&client.spec, self.engine.spec()));
         let now = self.engine.now();
         if client.attached {
             let system: &mut dyn SharingSystem = match &mut self.system {
@@ -1755,6 +1769,7 @@ impl<'s> SessionCore<'s> {
     pub(crate) fn admit_job(&mut self, job: JobSpec) -> ClientId {
         let id = ClientId(self.clients.len() as u32);
         self.metas.push(meta_of(&job));
+        self.demands.push(job_demand(&job, self.engine.spec()));
         let mut client = Client::new(job);
         client.record_timelines = self.record_timelines;
         client.observe = self.emitting();
@@ -1954,6 +1969,12 @@ impl<'s> Session<'s> {
 
     pub(crate) fn client_spec(&self, i: usize) -> &JobSpec {
         self.core.client_spec(i)
+    }
+
+    /// Client `i`'s [`job_demand`] on this session's GPU, cached when it
+    /// joined.
+    pub(crate) fn client_demand(&self, i: usize) -> f64 {
+        self.core.client_demand(i)
     }
 
     pub(crate) fn client_is_tombstone(&self, i: usize) -> bool {

@@ -354,6 +354,11 @@ pub struct HostStats {
     /// changed, so this stays near O(devices + lifecycle edges) instead
     /// of O(barriers × devices).
     pub departure_scans: u64,
+    /// Per-device [`DeviceLoad`](crate::cluster::DeviceLoad) snapshots
+    /// built on the driving thread (deterministic): one per device for
+    /// the up-front placement, each trace injection and each migration
+    /// pass, plus two per migration (its source and target are rebuilt).
+    pub load_snapshots: u64,
 }
 
 #[cfg(test)]

@@ -214,48 +214,64 @@ impl Topology {
             "path {from}->{to} out of range for {} devices",
             self.devices
         );
-        if from == to || self.flat {
-            return Some(f64::INFINITY);
+        self.widest_from(from)[to]
+    }
+
+    /// [`Topology::path_bandwidth`] from `from` to every device at once:
+    /// entry `to` is the widest-path bottleneck bandwidth, `None` when
+    /// `to` is unreachable. One run costs O(devices² + links), the same
+    /// as a single pair, so callers needing many destinations from one
+    /// source should ask for the whole row. Every value is a `min` over
+    /// link bandwidths, so it is exact whatever order the search visits
+    /// devices in.
+    ///
+    /// ```
+    /// use tally_core::topology::{Link, Topology};
+    ///
+    /// let t = Topology::new(3).link(0, 1, Link::nvlink());
+    /// assert_eq!(t.widest_from(0), vec![Some(f64::INFINITY), Some(300.0), None]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is out of range.
+    pub fn widest_from(&self, from: usize) -> Vec<Option<f64>> {
+        assert!(
+            from < self.devices,
+            "source {from} out of range for {} devices",
+            self.devices
+        );
+        if self.flat {
+            return vec![Some(f64::INFINITY); self.devices];
         }
-        // Dijkstra with max-min relaxation. Fleets are small (≤ a few
-        // hundred devices) and moves are rare, so the dense O(n²) scan
-        // beats maintaining a heap.
+        let mut adjacent: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.devices];
+        for (&(a, b), link) in &self.links {
+            adjacent[a].push((b, link.gb_per_s));
+            adjacent[b].push((a, link.gb_per_s));
+        }
+        // Dijkstra with max-min relaxation and a dense O(n²) selection
+        // scan: fleets are at most a few hundred devices.
         let mut width = vec![0.0f64; self.devices];
         let mut done = vec![false; self.devices];
         width[from] = f64::INFINITY;
         loop {
-            let mut best = None;
+            let mut best: Option<usize> = None;
             for d in 0..self.devices {
-                if !done[d] && width[d] > 0.0 {
-                    if let Some(b) = best {
-                        if width[d] > width[b] {
-                            best = Some(d);
-                        }
-                    } else {
-                        best = Some(d);
-                    }
+                if !done[d] && width[d] > 0.0 && best.is_none_or(|b| width[d] > width[b]) {
+                    best = Some(d);
                 }
             }
             let Some(u) = best else { break };
-            if u == to {
-                return Some(width[u]);
-            }
             done[u] = true;
-            for (&(a, b), link) in &self.links {
-                let v = if a == u {
-                    b
-                } else if b == u {
-                    a
-                } else {
-                    continue;
-                };
-                let through = width[u].min(link.gb_per_s);
+            for &(v, gb_per_s) in &adjacent[u] {
+                let through = width[u].min(gb_per_s);
                 if through > width[v] {
                     width[v] = through;
                 }
             }
         }
-        None
+        // Link bandwidths are positive, so zero width means unreached.
+        width.into_iter().map(|w| (w > 0.0).then_some(w)).collect()
     }
 
     /// Sim-time to move `bytes` of client state from `from` to `to` over
@@ -263,16 +279,53 @@ impl Topology {
     /// same-device, flat topologies, or zero bytes; `None` when the
     /// devices are disconnected (the move must be refused).
     pub fn transfer_time(&self, bytes: u64, from: usize, to: usize) -> Option<SimSpan> {
-        let gb_per_s = self.path_bandwidth(from, to)?;
-        if bytes == 0 || gb_per_s.is_infinite() {
+        transfer_over(bytes, self.path_bandwidth(from, to))
+    }
+}
+
+/// `bytes` over a path of bottleneck bandwidth `gb_per_s` (`None`:
+/// unreachable). The one place a transfer stall is derived, shared by
+/// [`Topology::transfer_time`] and [`RouteTable::transfer_time`].
+fn transfer_over(bytes: u64, gb_per_s: Option<f64>) -> Option<SimSpan> {
+    let gb_per_s = gb_per_s?;
+    if bytes == 0 || gb_per_s.is_infinite() {
+        return Some(SimSpan::ZERO);
+    }
+    // tally-lint: allow(D1-float-schedule) -- sanctioned derivation
+    // (ARCHITECTURE rule D1): one division over deterministic inputs,
+    // rounded to integral nanoseconds exactly once; no accumulation.
+    Some(SimSpan::from_secs_f64(
+        bytes as f64 / (gb_per_s * 1_000_000_000.0),
+    ))
+}
+
+/// Widest-path bandwidths of one [`Topology`], memoized one source row at
+/// a time: the first transfer priced from a device runs
+/// [`Topology::widest_from`] once, every later one from that device is a
+/// lookup. Answers equal [`Topology::transfer_time`] exactly. The flat
+/// preset never fills a row.
+pub(crate) struct RouteTable<'t> {
+    topology: &'t Topology,
+    rows: Vec<Option<Vec<Option<f64>>>>,
+}
+
+impl<'t> RouteTable<'t> {
+    /// An empty table over `topology`.
+    pub(crate) fn new(topology: &'t Topology) -> Self {
+        RouteTable {
+            topology,
+            rows: vec![None; topology.devices],
+        }
+    }
+
+    /// [`Topology::transfer_time`], from the memoized row of `from`.
+    pub(crate) fn transfer_time(&mut self, bytes: u64, from: usize, to: usize) -> Option<SimSpan> {
+        if self.topology.flat {
             return Some(SimSpan::ZERO);
         }
-        // tally-lint: allow(D1-float-schedule) -- sanctioned derivation
-        // (ARCHITECTURE rule D1): one division over deterministic inputs,
-        // rounded to integral nanoseconds exactly once; no accumulation.
-        Some(SimSpan::from_secs_f64(
-            bytes as f64 / (gb_per_s * 1_000_000_000.0),
-        ))
+        let topology = self.topology;
+        let row = self.rows[from].get_or_insert_with(|| topology.widest_from(from));
+        transfer_over(bytes, row[to])
     }
 }
 
@@ -343,6 +396,103 @@ mod tests {
     fn dgx_chain_spans_more_than_two_nodes() {
         let t = Topology::dgx(24);
         assert_eq!(t.path_bandwidth(1, 23), Some(12.5));
+    }
+
+    /// For every device, the max over all simple paths from `from` to it
+    /// of the path's slowest link (`None`: no path), exhaustively over the
+    /// simple-path space: `width[mask][at]` is the widest simple path from
+    /// `from` visiting exactly the devices in `mask` and ending at `at`,
+    /// grown one hop at a time (Held–Karp style), so every simple path is
+    /// one chain of states and none is pruned.
+    fn brute_force_row(t: &Topology, from: usize) -> Vec<Option<f64>> {
+        let n = t.devices();
+        if t.is_flat() {
+            return vec![Some(f64::INFINITY); n];
+        }
+        assert!(n <= 16, "2^n visited sets per source");
+        let mut adjacent = vec![Vec::new(); n];
+        for (&(a, b), link) in &t.links {
+            adjacent[a].push((b, link.gb_per_s));
+            adjacent[b].push((a, link.gb_per_s));
+        }
+        // Zero width: no simple path ends in this state.
+        let mut width = vec![0.0f64; n << n];
+        width[(1 << from) * n + from] = f64::INFINITY;
+        let mut best: Vec<Option<f64>> = vec![None; n];
+        // Extending a path only sets bits, so masks in increasing order
+        // see every state after all of its predecessors.
+        for mask in 0..1usize << n {
+            for at in 0..n {
+                let w = width[mask * n + at];
+                if w == 0.0 {
+                    continue;
+                }
+                best[at] = Some(best[at].map_or(w, |b| b.max(w)));
+                for &(next, gb_per_s) in &adjacent[at] {
+                    if mask & (1 << next) == 0 {
+                        let state = &mut width[(mask | 1 << next) * n + next];
+                        *state = state.max(w.min(gb_per_s));
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn single_source_rows_match_exhaustive_path_enumeration() {
+        // A 6-ring whose 0—5 link is weak: the long way round wins.
+        let mut ring = Topology::new(6);
+        for a in 0..5 {
+            ring = ring.link(a, a + 1, Link::nvlink());
+        }
+        let ring = ring.link(0, 5, Link::pcie());
+        // Two islands: {0, 1, 2} and {3, 4}, so cross pairs are `None`.
+        let islands = Topology::new(5)
+            .link(0, 1, Link::nvlink())
+            .link(1, 2, Link::pcie())
+            .link(0, 2, Link::node_cross())
+            .link(3, 4, Link::pcie());
+        let mut topologies: Vec<Topology> = [1, 8, 9, 16].into_iter().map(Topology::dgx).collect();
+        topologies.extend([ring, islands, Topology::flat(5)]);
+        for t in &topologies {
+            for from in 0..t.devices() {
+                let row = t.widest_from(from);
+                assert_eq!(row, brute_force_row(t, from), "from {from} in {t:?}");
+                for (to, &width) in row.iter().enumerate() {
+                    assert_eq!(t.path_bandwidth(from, to), width);
+                }
+            }
+        }
+        assert_eq!(topologies[4].path_bandwidth(0, 5), Some(300.0));
+        assert_eq!(topologies[5].path_bandwidth(1, 4), None);
+        assert_eq!(topologies[6].widest_from(2), vec![Some(f64::INFINITY); 5]);
+    }
+
+    #[test]
+    fn route_table_prices_like_the_topology() {
+        let t = Topology::dgx(16)
+            .link(3, 12, Link::pcie())
+            .link(14, 15, Link::node_cross());
+        let mut routes = RouteTable::new(&t);
+        for bytes in [0, 1, 1 << 20, 7_777_777_777] {
+            for from in 0..16 {
+                for to in 0..16 {
+                    assert_eq!(
+                        routes.transfer_time(bytes, from, to),
+                        t.transfer_time(bytes, from, to)
+                    );
+                }
+            }
+        }
+        let disconnected = Topology::new(3).link(0, 1, Link::pcie());
+        let mut routes = RouteTable::new(&disconnected);
+        assert_eq!(routes.transfer_time(1, 0, 2), None);
+        assert_eq!(routes.transfer_time(1, 2, 2), Some(SimSpan::ZERO));
+        let flat = Topology::flat(4);
+        let mut routes = RouteTable::new(&flat);
+        assert_eq!(routes.transfer_time(u64::MAX, 0, 3), Some(SimSpan::ZERO));
+        assert!(routes.rows.iter().all(Option::is_none), "flat fills no row");
     }
 
     #[test]

@@ -713,9 +713,10 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the cluster has no devices or no clients, if the warmup
-    /// is not shorter than the duration, or if the policy returns an
-    /// out-of-range device index.
+    /// Panics if the cluster has no devices or no clients, if a job
+    /// (trace-injected ones included) fails [`JobSpec::validate`], if the
+    /// warmup is not shorter than the duration, or if the policy returns
+    /// an out-of-range device index.
     pub fn run(self) -> ClusterReport {
         let Cluster {
             devices,
@@ -768,6 +769,12 @@ impl Cluster {
         let upfront = jobs.len();
         jobs.extend(trace_jobs);
         assert!(!jobs.is_empty(), "at least one client required");
+        // Trace clients join sessions later, past `into_session`'s check.
+        for job in &jobs {
+            if let Err(e) = job.validate() {
+                panic!("{e}");
+            }
+        }
         {
             let mut seen = std::collections::BTreeSet::new();
             for job in &jobs {
@@ -1904,6 +1911,24 @@ mod tests {
             .config(cfg(1))
             .run();
         assert_eq!(format!("{report:?}"), format!("{again:?}"));
+    }
+
+    #[test]
+    #[should_panic(expected = "job `hollow`: training iteration has neither a kernel")]
+    fn run_rejects_an_empty_iteration_in_a_trace_client() {
+        Cluster::new()
+            .device(GpuSpec::tiny())
+            .client(trainer("base", 1000, 0))
+            .trace(vec![(
+                SimTime::from_millis(100),
+                SessionEvent::Arrive {
+                    key: "hollow".into(),
+                    job: JobSpec::training("hollow", Vec::new()),
+                },
+            )])
+            .expect("valid trace")
+            .config(cfg(1))
+            .run();
     }
 
     #[test]

@@ -293,7 +293,65 @@ impl JobSpec {
     pub fn first_active(&self) -> SimTime {
         self.windows.first().expect("at least one window").from
     }
+
+    /// Checks that the job's program can run.
+    ///
+    /// A training iteration must contain a kernel or a positive-length
+    /// [`WorkloadOp::CpuGap`]: an empty one would spin the client program
+    /// forever, and one made only of zero-length gaps would repeat at one
+    /// simulated instant without end.
+    ///
+    /// ```
+    /// use tally_core::harness::{JobError, JobSpec, WorkloadOp};
+    /// use tally_gpu::SimSpan;
+    ///
+    /// let idle = JobSpec::training("idle", vec![WorkloadOp::CpuGap(SimSpan::from_millis(1))]);
+    /// assert_eq!(idle.validate(), Ok(()));
+    /// let stuck = JobSpec::training("stuck", vec![WorkloadOp::CpuGap(SimSpan::ZERO)]);
+    /// assert_eq!(
+    ///     stuck.validate(),
+    ///     Err(JobError::EmptyIteration { name: "stuck".into() })
+    /// );
+    /// ```
+    pub fn validate(&self) -> Result<(), JobError> {
+        if let JobKind::Training { iteration } = &self.kind {
+            let advances = iteration.iter().any(|op| match op {
+                WorkloadOp::Kernel(_) => true,
+                WorkloadOp::CpuGap(gap) => !gap.is_zero(),
+            });
+            if !advances {
+                return Err(JobError::EmptyIteration {
+                    name: self.name.clone(),
+                });
+            }
+        }
+        Ok(())
+    }
 }
+
+/// Why a [`JobSpec`] cannot run (see [`JobSpec::validate`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JobError {
+    /// A training iteration with neither a kernel nor a positive-length
+    /// CPU gap.
+    EmptyIteration {
+        /// The job's display name.
+        name: String,
+    },
+}
+
+impl fmt::Display for JobError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JobError::EmptyIteration { name } => write!(
+                f,
+                "job `{name}`: training iteration has neither a kernel nor a positive-length CPU gap"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for JobError {}
 
 /// A timestamped client lifecycle event — the unit of trace-driven session
 /// construction (see [`Colocation::trace`] and
@@ -895,8 +953,9 @@ impl<'s> Colocation<'s> {
     ///
     /// # Panics
     ///
-    /// Panics if no client was added, or if the configured warmup is not
-    /// shorter than the duration.
+    /// Panics if no client was added, if a job fails
+    /// [`JobSpec::validate`], or if the configured warmup is not shorter
+    /// than the duration.
     pub fn run(self) -> RunReport {
         assert!(!self.jobs.is_empty(), "at least one client required");
         let mut session = self.into_session();
@@ -911,7 +970,8 @@ impl<'s> Colocation<'s> {
     ///
     /// # Panics
     ///
-    /// Panics if the configured warmup is not shorter than the duration.
+    /// Panics if a job fails [`JobSpec::validate`], or if the configured
+    /// warmup is not shorter than the duration.
     pub fn into_session(self) -> Session<'s> {
         let Colocation {
             spec,
@@ -923,6 +983,11 @@ impl<'s> Colocation<'s> {
             sync_observers,
             admission,
         } = self;
+        for job in &jobs {
+            if let Err(e) = job.validate() {
+                panic!("{e}");
+            }
+        }
         let system = system.unwrap_or_else(|| SystemSlot::Owned(Box::new(Passthrough::new())));
         let mut session = Session::new(&spec, jobs, system, &cfg, intercept);
         for obs in observers {
@@ -2071,6 +2136,39 @@ mod tests {
             .client(job)
             .config(cfg.clone())
             .run()
+    }
+
+    #[test]
+    fn validate_rejects_iterations_that_never_advance() {
+        let gap = |us| WorkloadOp::CpuGap(SimSpan::from_micros(us));
+        let empty = JobSpec::training("empty", Vec::new());
+        assert_eq!(
+            empty.validate(),
+            Err(JobError::EmptyIteration {
+                name: "empty".into()
+            })
+        );
+        assert!(JobSpec::training("zero", vec![gap(0), gap(0)])
+            .validate()
+            .is_err());
+        assert_eq!(
+            JobSpec::training("idle", vec![gap(0), gap(5)]).validate(),
+            Ok(())
+        );
+        assert_eq!(
+            JobSpec::training("k", vec![WorkloadOp::Kernel(kernel(1))]).validate(),
+            Ok(())
+        );
+        // An empty request still completes per arrival: not rejected.
+        let svc = JobSpec::inference("svc", Vec::new(), vec![SimTime::ZERO]);
+        assert_eq!(svc.validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "job `spin`: training iteration has neither a kernel")]
+    fn run_rejects_a_zero_gap_iteration() {
+        let job = JobSpec::training("spin", vec![WorkloadOp::CpuGap(SimSpan::ZERO)]);
+        run_one(job, &cfg(1));
     }
 
     #[test]

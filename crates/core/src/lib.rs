@@ -94,8 +94,8 @@ pub use events::{
     TraceError, FLEET_DEVICE,
 };
 pub use harness::{
-    run_solo, Colocation, HarnessConfig, InterceptMode, JobKind, JobSpec, Session, SessionEvent,
-    WorkloadOp,
+    run_solo, Colocation, HarnessConfig, InterceptMode, JobError, JobKind, JobSpec, Session,
+    SessionEvent, WorkloadOp,
 };
 pub use metrics::{ClientReport, HostStats, LatencyRecorder, RunReport, Windowed};
 pub use scheduler::{TallyConfig, TallySystem};

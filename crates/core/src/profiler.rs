@@ -67,6 +67,9 @@ impl Default for ProfilerConfig {
 /// Generates the candidate set for a kernel (paper §4.2): PTB worker
 /// counts are multiples of the SM count that fit the thread constraints;
 /// slice sizes are fractions of the total block count.
+///
+/// The scheduler builds candidates only while a kernel is being profiled;
+/// once [`TransparentProfiler::chosen`] answers, it skips this call.
 pub fn candidate_configs(
     cfg: &ProfilerConfig,
     spec: &GpuSpec,
@@ -155,6 +158,11 @@ impl TransparentProfiler {
     }
 
     /// The locked-in configuration for `kernel`, if profiling has finished.
+    ///
+    /// Consulted first on every block-level launch (each `Some` counts as a
+    /// cache hit); only a `None` sends the caller through
+    /// [`candidate_configs`], [`TransparentProfiler::finalize`] and
+    /// [`TransparentProfiler::next_unmeasured`].
     pub fn chosen(&mut self, kernel: &KernelDesc) -> Option<LaunchCfg> {
         let p = self.profiles.get(&Self::key(kernel))?;
         if p.chosen.is_some() {

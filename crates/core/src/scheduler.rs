@@ -16,7 +16,6 @@
 //!   completed ones recorded, and once all candidates are measured the
 //!   winner is locked in for the rest of the job.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tally_gpu::{
@@ -73,6 +72,12 @@ struct BeTask {
     running: Option<RunningLaunch>,
 }
 
+/// The best-effort task of `client` in the dense table, if it has one.
+/// A free function so callers can keep using the scheduler's other fields.
+fn be_task(be: &mut [Option<BeTask>], client: ClientId) -> Option<&mut BeTask> {
+    be.get_mut(client.0 as usize)?.as_mut()
+}
+
 /// The Tally sharing system. Construct with [`TallySystem::new`] and hand
 /// to a [`Colocation`](crate::harness::Colocation) session.
 ///
@@ -87,12 +92,15 @@ pub struct TallySystem {
     cfg: TallyConfig,
     transformer: KernelTransformer,
     profiler: TransparentProfiler,
-    /// High-priority clients with a kernel currently in the system, and the
-    /// launch id once submitted. Ordered maps keep launch order — and so
-    /// the whole simulation — deterministic across runs.
-    hp_inflight: BTreeMap<LaunchId, ClientId>,
+    /// In-flight high-priority launches in submission order. Launch ids
+    /// are monotone, so pushing keeps the vector sorted by id.
+    hp_inflight: Vec<(LaunchId, ClientId)>,
     hp_active: u32,
-    be: BTreeMap<ClientId, BeTask>,
+    /// Best-effort tasks indexed by `ClientId.0`. Client ids are dense
+    /// session slot indices, so walking the table visits clients in id
+    /// order — which keeps launch order, and so the whole simulation,
+    /// deterministic across runs.
+    be: Vec<Option<BeTask>>,
     preemptions_issued: u64,
 }
 
@@ -104,9 +112,9 @@ impl TallySystem {
             cfg,
             transformer,
             profiler: TransparentProfiler::new(),
-            hp_inflight: BTreeMap::new(),
+            hp_inflight: Vec::new(),
             hp_active: 0,
-            be: BTreeMap::new(),
+            be: Vec::new(),
             preemptions_issued: 0,
         }
     }
@@ -132,7 +140,7 @@ impl TallySystem {
     }
 
     fn preempt_best_effort(&mut self, ctx: &mut Ctx<'_>) {
-        for task in self.be.values_mut() {
+        for task in self.be.iter().flatten() {
             if let Some(run) = &task.running {
                 if ctx.engine.preempt(run.id) {
                     self.preemptions_issued += 1;
@@ -143,11 +151,27 @@ impl TallySystem {
         }
     }
 
-    fn launch_be(&mut self, ctx: &mut Ctx<'_>, client: ClientId) {
-        let Some(task) = self.be.get_mut(&client) else {
-            return;
-        };
-        if task.running.is_some() || task.progress >= task.total {
+    /// Retires `client`'s best-effort task, returning it.
+    fn remove_be(&mut self, client: ClientId) -> Option<BeTask> {
+        self.be.get_mut(client.0 as usize)?.take()
+    }
+
+    /// Submits the next launch of an idle best-effort `task`.
+    ///
+    /// The profiler is consulted first: once a kernel's configuration is
+    /// locked in, the launch costs one lookup and no candidate generation.
+    /// Only while the kernel is still being profiled are the candidates
+    /// built, and then this launch doubles as a profiling run of the next
+    /// unmeasured one. Takes the profiler and its settings rather than
+    /// `self` so `poll` can walk the task table in place.
+    fn launch_be(
+        profiler: &mut TransparentProfiler,
+        settings: &ProfilerConfig,
+        ctx: &mut Ctx<'_>,
+        client: ClientId,
+        task: &mut BeTask,
+    ) {
+        if task.progress >= task.total {
             return;
         }
         let kernel = Arc::clone(task.plan.kernel());
@@ -161,20 +185,13 @@ impl TallySystem {
             TransformPlan::BlockLevel {
                 ptb_overhead_ppm, ..
             } => {
-                let candidates = candidate_configs(&self.cfg.profiler, ctx.engine.spec(), &kernel);
-                let chosen = self.profiler.chosen(&kernel).or_else(|| {
-                    self.profiler
-                        .finalize(&self.cfg.profiler, &candidates, &kernel)
+                let cfg = profiler.chosen(&kernel).unwrap_or_else(|| {
+                    let candidates = candidate_configs(settings, ctx.engine.spec(), &kernel);
+                    profiler
+                        .finalize(settings, &candidates, &kernel)
+                        .or_else(|| profiler.next_unmeasured(settings, &candidates, &kernel))
+                        .unwrap_or(candidates[0])
                 });
-                // Use the locked-in configuration when available; otherwise
-                // this launch doubles as a profiling run of the next
-                // unmeasured candidate.
-                let cfg = chosen
-                    .or_else(|| {
-                        self.profiler
-                            .next_unmeasured(&self.cfg.profiler, &candidates, &kernel)
-                    })
-                    .unwrap_or(candidates[0]);
                 match cfg {
                     LaunchCfg::Slice { blocks } => {
                         let count = blocks.min(remaining);
@@ -229,20 +246,21 @@ impl SharingSystem for TallySystem {
             let id = ctx
                 .engine
                 .submit(LaunchRequest::full(kernel, client, Priority::High));
-            self.hp_inflight.insert(id, client);
+            self.hp_inflight.push((id, client));
             self.hp_active += 1;
         } else {
             let plan = self.transformer.plan(&kernel);
             let total = plan.kernel().grid.count();
-            self.be.insert(
-                client,
-                BeTask {
-                    plan,
-                    total,
-                    progress: 0,
-                    running: None,
-                },
-            );
+            let slot = client.0 as usize;
+            if self.be.len() <= slot {
+                self.be.resize_with(slot + 1, || None);
+            }
+            self.be[slot] = Some(BeTask {
+                plan,
+                total,
+                progress: 0,
+                running: None,
+            });
             // Actual scheduling happens in `poll`, where high-priority
             // activity is known.
         }
@@ -251,13 +269,14 @@ impl SharingSystem for TallySystem {
     fn on_notification(&mut self, ctx: &mut Ctx<'_>, note: &Notification) {
         match *note {
             Notification::Completed { id, client, at } => {
-                if let Some(c) = self.hp_inflight.remove(&id) {
+                if let Ok(i) = self.hp_inflight.binary_search_by_key(&id, |&(id, _)| id) {
+                    let (_, c) = self.hp_inflight.remove(i);
                     debug_assert_eq!(c, client);
                     self.hp_active -= 1;
                     ctx.complete_kernel(client);
                     return;
                 }
-                let Some(task) = self.be.get_mut(&client) else {
+                let Some(task) = be_task(&mut self.be, client) else {
                     return;
                 };
                 let Some(run) = task.running.take() else {
@@ -283,7 +302,7 @@ impl SharingSystem for TallySystem {
                     }
                 }
                 if task.progress >= task.total {
-                    self.be.remove(&client);
+                    self.remove_be(client);
                     ctx.complete_kernel(client);
                 }
             }
@@ -294,7 +313,7 @@ impl SharingSystem for TallySystem {
                 at,
                 ..
             } => {
-                if let Some(task) = self.be.get_mut(&client) {
+                if let Some(task) = be_task(&mut self.be, client) {
                     if task.running.as_ref().is_some_and(|r| r.id == id) {
                         let run = task.running.take().expect("checked above");
                         let executed = done_upto.saturating_sub(task.progress);
@@ -315,7 +334,7 @@ impl SharingSystem for TallySystem {
                         // `done_upto` is in original-grid task space.
                         task.progress = done_upto.max(task.progress);
                         if task.progress >= task.total {
-                            self.be.remove(&client);
+                            self.remove_be(client);
                             ctx.complete_kernel(client);
                         }
                     }
@@ -330,22 +349,26 @@ impl SharingSystem for TallySystem {
         if self.hp_active > 0 {
             return;
         }
-        let clients: Vec<ClientId> = self.be.keys().copied().collect();
-        for client in clients {
-            self.launch_be(ctx, client);
+        // Walk the table in place, in client-id order: that order is the
+        // submission order, and so the engine's dispatch order.
+        for (slot, task) in self.be.iter_mut().enumerate() {
+            if let Some(task) = task.as_mut().filter(|t| t.running.is_none()) {
+                let client = ClientId(slot as u32);
+                Self::launch_be(&mut self.profiler, &self.cfg.profiler, ctx, client, task);
+            }
         }
     }
 
     fn on_client_detach(&mut self, ctx: &mut Ctx<'_>, client: ClientId) {
         // Reclaim the client's best-effort task (and free the GPU of its
         // running launch)…
-        if let Some(task) = self.be.remove(&client) {
+        if let Some(task) = self.remove_be(client) {
             if let Some(run) = task.running {
                 ctx.engine.preempt(run.id);
             }
         }
         // …and any in-flight high-priority kernels it still had.
-        self.hp_inflight.retain(|&id, &mut c| {
+        self.hp_inflight.retain(|&(id, c)| {
             if c == client {
                 self.hp_active -= 1;
                 ctx.engine.preempt(id);
@@ -361,8 +384,8 @@ impl SharingSystem for TallySystem {
 mod tests {
     use super::*;
     use crate::harness::{Colocation, HarnessConfig, JobSpec, WorkloadOp};
-    use crate::system::Passthrough;
-    use tally_gpu::{GpuSpec, SimSpan, SimTime};
+    use crate::system::{ClientMeta, Passthrough};
+    use tally_gpu::{Engine, GpuSpec, SimSpan, SimTime, Step};
 
     fn run(
         spec: &GpuSpec,
@@ -500,5 +523,121 @@ mod tests {
     fn turnaround_bound_is_configurable() {
         let cfg = TallyConfig::paper_default().with_turnaround_bound(SimSpan::from_millis(10));
         assert_eq!(cfg.profiler.turnaround_bound, SimSpan::from_millis(10));
+    }
+
+    fn best_effort_clients(n: usize) -> Vec<ClientMeta> {
+        (0..n)
+            .map(|i| ClientMeta {
+                name: format!("be{i}"),
+                priority: Priority::BestEffort,
+                client_key: None,
+            })
+            .collect()
+    }
+
+    /// Runs the engine until it drains, delivering every notification to
+    /// `tally`; returns the notifications and the kernel completions.
+    fn drain(
+        tally: &mut TallySystem,
+        engine: &mut Engine,
+        clients: &[ClientMeta],
+    ) -> (Vec<Notification>, Vec<ClientId>) {
+        let mut notes = Vec::new();
+        let mut done = Vec::new();
+        while let Step::Notified(batch) = engine.advance(SimTime::MAX) {
+            let mut ctx = Ctx::new(engine, clients);
+            for note in &batch {
+                tally.on_notification(&mut ctx, note);
+            }
+            done.extend(ctx.take_completions());
+            notes.extend(batch);
+        }
+        (notes, done)
+    }
+
+    #[test]
+    fn poll_launches_best_effort_work_in_client_id_order() {
+        let k = KernelDesc::builder("be_small")
+            .grid(864)
+            .block(256)
+            .block_cost(SimSpan::from_micros(20))
+            .build_arc();
+        // Ids 0, 2 and 3 are best-effort and id 1 stays unused; the
+        // kernels become ready out of id order.
+        let clients = best_effort_clients(4);
+        let mut engine = Engine::new(GpuSpec::a100());
+        let mut tally = TallySystem::new(TallyConfig::paper_default());
+        let mut ctx = Ctx::new(&mut engine, &clients);
+        for c in [3, 0, 2] {
+            tally.on_kernel_ready(&mut ctx, ClientId(c), Arc::clone(&k));
+        }
+        tally.poll(&mut ctx);
+        let (notes, _) = drain(&mut tally, &mut engine, &clients);
+        let mut launches: Vec<(LaunchId, ClientId)> =
+            notes.iter().map(|n| (n.launch(), n.client())).collect();
+        launches.sort();
+        let order: Vec<ClientId> = launches.iter().map(|&(_, c)| c).collect();
+        assert_eq!(order, [ClientId(0), ClientId(2), ClientId(3)]);
+    }
+
+    /// One best-effort launch of `k` by client 0: issues the kernel if the
+    /// client has none, polls once and runs the launch to completion.
+    /// Returns whether it was a full-size launch of a profiled config.
+    fn launch_once(
+        tally: &mut TallySystem,
+        engine: &mut Engine,
+        clients: &[ClientMeta],
+        k: &Arc<KernelDesc>,
+    ) -> bool {
+        let mut ctx = Ctx::new(engine, clients);
+        if tally.be.first().is_none_or(Option::is_none) {
+            tally.on_kernel_ready(&mut ctx, ClientId(0), Arc::clone(k));
+        }
+        tally.poll(&mut ctx);
+        let run = tally.be[0]
+            .as_ref()
+            .and_then(|t| t.running.clone())
+            .expect("poll launched the idle task");
+        let (notes, _) = drain(tally, engine, clients);
+        assert!(notes
+            .iter()
+            .any(|n| matches!(*n, Notification::Completed { id, .. } if id == run.id)));
+        match run.cfg {
+            Some(LaunchCfg::Slice { blocks }) => run.tasks == blocks,
+            Some(LaunchCfg::Ptb { .. }) => true,
+            None => false,
+        }
+    }
+
+    #[test]
+    fn locked_in_launches_skip_candidate_generation() {
+        let k = KernelDesc::builder("be_profiled")
+            .grid(864 * 4)
+            .block(256)
+            .block_cost(SimSpan::from_micros(20))
+            .build_arc();
+        let clients = best_effort_clients(1);
+        let mut engine = Engine::new(GpuSpec::a100());
+        let mut tally = TallySystem::new(TallyConfig::paper_default());
+        // Profile until the first launch answered from the cache.
+        let mut launches = 0;
+        while tally.profiler_stats().cache_hits == 0 {
+            launch_once(&mut tally, &mut engine, &clients, &k);
+            launches += 1;
+            assert!(launches < 64, "profiling never locked in");
+        }
+        let locked = tally.profiler_stats();
+        assert_eq!(locked.profiles, 1);
+
+        const N: u64 = 40;
+        let mut full_size = 0;
+        for _ in 0..N {
+            full_size += u64::from(launch_once(&mut tally, &mut engine, &clients, &k));
+        }
+        let after = tally.profiler_stats();
+        assert_eq!(after.cache_hits, locked.cache_hits + N);
+        assert_eq!(after.profiles, 1);
+        assert_eq!(after.measurements, locked.measurements + full_size);
+        assert!(full_size > 0);
     }
 }

@@ -28,9 +28,9 @@
 //! * the next periodic rebalance tick ([`Cluster::rebalance_every`]);
 //! * the next client departure anywhere in the fleet, *when*
 //!   [`Cluster::migrate_on_detach`] is on (a departure triggers a
-//!   migration pass) — forecast by a fleet-level
-//!   [`TimerWheel`] that re-scans a device
-//!   only when its client lifecycle actually changed;
+//!   migration pass) — each device's next departure is cached and the
+//!   device re-scanned only when its client lifecycle actually changed,
+//!   so the barrier is a min over one cached instant per device;
 //! * the end of the run.
 //!
 //! Between barriers the sessions are advanced concurrently on a scoped
@@ -96,7 +96,6 @@ use crate::harness::{
 };
 use crate::metrics::{ClientReport, HostStats, LatencyRecorder};
 use crate::system::{Passthrough, SharingSystem};
-use crate::timewheel::{TimerId, TimerWheel};
 use crate::topology::{RouteTable, Topology};
 
 /// Load snapshot of one device, handed to [`PlacementPolicy`] decisions.
@@ -859,18 +858,11 @@ impl Cluster {
         // Widest-path bandwidths, one source row at a time as migrations
         // from that device get priced; never filled under the flat default.
         let mut routes = RouteTable::new(&topology);
-        // Fleet-level wake forecast, all in one wheel: one departure timer
-        // per device holding its session's next window-close (recomputed
-        // only when its lifecycle epoch changed, so idle devices are never
-        // re-scanned — see `HostStats::departure_scans`), plus the next
-        // rebalance tick and the next pending-trace-client injection. The
-        // barrier is then `end.min(wheel.peek())` instead of re-min-folding
-        // every source on every iteration.
-        let mut fleet_wheel: TimerWheel<FleetWake> = TimerWheel::new();
-        let mut dep_timers: Vec<Option<TimerId>> = vec![None; n];
+        // Per-device departure forecast: each session's next window-close,
+        // recomputed only when its lifecycle epoch changed, so idle devices
+        // are never re-scanned (see `HostStats::departure_scans`).
+        let mut departures: Vec<Option<SimTime>> = vec![None; n];
         let mut dep_epochs: Vec<Option<u64>> = vec![None; n];
-        let mut reb_timer: Option<(SimTime, TimerId)> = None;
-        let mut inj_timer: Option<(SimTime, TimerId)> = None;
 
         // Barrier drive: inject trace clients whose first arrival is due,
         // settle everyone, migrate if triggered — all in device-index
@@ -971,54 +963,29 @@ impl Cluster {
 
             // The next interaction point. Session-local wake-ups (kernel
             // finishes, arrivals, window edges) deliberately do NOT bound
-            // it — each worker handles its own between barriers. Fired
-            // timers clear their registration slot so the re-registration
-            // checks below see them as gone.
-            for (_, wake) in fleet_wheel.advance_to(now) {
-                match wake {
-                    FleetWake::Departure(d) => dep_timers[d] = None,
-                    FleetWake::Rebalance => reb_timer = None,
-                    FleetWake::Inject => inj_timer = None,
-                }
-            }
+            // it — each worker handles its own between barriers.
             if migrate_on_detach {
                 // Departures trigger migration passes, so the next one
                 // anywhere in the fleet is an interaction point. Refresh
                 // only the devices whose lifecycle changed.
                 for (d, s) in sessions.iter().enumerate() {
                     let epoch = Some(s.lifecycle_epoch());
-                    if dep_epochs[d] == epoch {
-                        continue;
+                    if dep_epochs[d] != epoch {
+                        dep_epochs[d] = epoch;
+                        departures[d] = Some(s.next_departure()).filter(|&t| t < SimTime::MAX);
                     }
-                    dep_epochs[d] = epoch;
-                    if let Some(tid) = dep_timers[d].take() {
-                        fleet_wheel.cancel(tid);
-                    }
-                    let at = s.next_departure();
-                    if at < SimTime::MAX {
-                        dep_timers[d] = Some(fleet_wheel.insert(at, FleetWake::Departure(d)));
-                    }
-                }
-            }
-            if reb_timer.map(|(t, _)| t) != next_rebalance {
-                if let Some((_, tid)) = reb_timer.take() {
-                    fleet_wheel.cancel(tid);
-                }
-                if let Some(t) = next_rebalance {
-                    reb_timer = Some((t, fleet_wheel.insert(t, FleetWake::Rebalance)));
                 }
             }
             let next_injection = pending.front().map(|&k| jobs[k].first_active());
-            if inj_timer.map(|(t, _)| t) != next_injection {
-                if let Some((_, tid)) = inj_timer.take() {
-                    fleet_wheel.cancel(tid);
-                }
-                if let Some(t) = next_injection {
-                    inj_timer = Some((t, fleet_wheel.insert(t, FleetWake::Inject)));
-                }
-            }
-            let mut barrier = end;
-            if let Some(t) = fleet_wheel.peek() {
+            // A cached departure at or before `now` has passed: the loop
+            // already took its barrier.
+            let mut barrier = departures
+                .iter()
+                .flatten()
+                .copied()
+                .filter(|&t| t > now)
+                .fold(end, SimTime::min);
+            for t in [next_rebalance, next_injection].into_iter().flatten() {
                 barrier = barrier.min(t);
             }
             debug_assert!(
@@ -1154,18 +1121,6 @@ fn advance_fleet(sessions: &mut [Session<'static>], barrier: SimTime, threads: u
             });
         }
     });
-}
-
-/// Payload of a fleet-level wake timer: which registration slot the
-/// fired timer should clear so the barrier loop re-registers it.
-#[derive(Clone, Copy)]
-enum FleetWake {
-    /// Device's next client departure (window close).
-    Departure(usize),
-    /// The next periodic rebalance tick.
-    Rebalance,
-    /// The next pending trace client's first arrival.
-    Inject,
 }
 
 /// Delivers a fleet-level observation (stamped `device`) to both observer
@@ -1927,6 +1882,22 @@ mod tests {
                 },
             )])
             .expect("valid trace")
+            .config(cfg(1))
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "job `wide`: kernel `wide` has 4096 threads per block")]
+    fn run_rejects_a_block_over_the_cuda_limit() {
+        let wide = KernelDesc::builder("wide")
+            .grid(4)
+            .block(4096)
+            .block_cost(SimSpan::from_micros(10))
+            .build_arc();
+        Cluster::new()
+            .devices(2, GpuSpec::tiny())
+            .client(trainer("base", 1000, 0))
+            .client(JobSpec::training("wide", vec![WorkloadOp::Kernel(wide)]))
             .config(cfg(1))
             .run();
     }

@@ -52,7 +52,6 @@ use crate::cluster::job_demand;
 use crate::events::{ClientEvent, Observation, SharedObserver, SharedSyncObserver, TraceError};
 use crate::metrics::{ClientReport, LatencyRecorder, RunReport};
 use crate::system::{ClientMeta, Ctx, Passthrough, SharingSystem};
-use crate::timewheel::{TimerId, TimerWheel};
 
 /// One step of a client's program.
 #[derive(Clone, Debug)]
@@ -299,7 +298,9 @@ impl JobSpec {
     /// A training iteration must contain a kernel or a positive-length
     /// [`WorkloadOp::CpuGap`]: an empty one would spin the client program
     /// forever, and one made only of zero-length gaps would repeat at one
-    /// simulated instant without end.
+    /// simulated instant without end. No kernel may have more than 1024
+    /// threads per block, CUDA's limit: the engine pools thread slots
+    /// GPU-wide, so it would run a larger block that no device launches.
     ///
     /// ```
     /// use tally_core::harness::{JobError, JobSpec, WorkloadOp};
@@ -314,6 +315,22 @@ impl JobSpec {
     /// );
     /// ```
     pub fn validate(&self) -> Result<(), JobError> {
+        let ops = match &self.kind {
+            JobKind::Training { iteration } => iteration,
+            JobKind::Inference { request, .. } => request,
+        };
+        for op in ops {
+            if let WorkloadOp::Kernel(k) = op {
+                let threads = k.threads_per_block();
+                if threads > MAX_THREADS_PER_BLOCK {
+                    return Err(JobError::BlockTooLarge {
+                        name: self.name.clone(),
+                        kernel: k.name.to_string(),
+                        threads,
+                    });
+                }
+            }
+        }
         if let JobKind::Training { iteration } = &self.kind {
             let advances = iteration.iter().any(|op| match op {
                 WorkloadOp::Kernel(_) => true,
@@ -329,6 +346,9 @@ impl JobSpec {
     }
 }
 
+/// CUDA's per-block thread limit.
+const MAX_THREADS_PER_BLOCK: u32 = 1024;
+
 /// Why a [`JobSpec`] cannot run (see [`JobSpec::validate`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobError {
@@ -338,6 +358,15 @@ pub enum JobError {
         /// The job's display name.
         name: String,
     },
+    /// A kernel with more than 1024 threads per block (CUDA's limit).
+    BlockTooLarge {
+        /// The job's display name.
+        name: String,
+        /// The offending kernel's name.
+        kernel: String,
+        /// Its threads per block.
+        threads: u32,
+    },
 }
 
 impl fmt::Display for JobError {
@@ -346,6 +375,15 @@ impl fmt::Display for JobError {
             JobError::EmptyIteration { name } => write!(
                 f,
                 "job `{name}`: training iteration has neither a kernel nor a positive-length CPU gap"
+            ),
+            JobError::BlockTooLarge {
+                name,
+                kernel,
+                threads,
+            } => write!(
+                f,
+                "job `{name}`: kernel `{kernel}` has {threads} threads per block, \
+                 over the limit of {MAX_THREADS_PER_BLOCK}"
             ),
         }
     }
@@ -522,23 +560,6 @@ pub(crate) struct Client {
     /// Intake paused until this instant (an [`AdmissionVerdict::Defer`]);
     /// pending arrivals are re-offered once it expires.
     intake_hold: Option<SimTime>,
-    /// Wake-up timers currently registered for this client in the
-    /// session's wheel. Cleared on migration (timer ids are per-wheel).
-    timers: ClientTimers,
-    /// Set when a wake-relevant field changed during a settle pass; the
-    /// end-of-settle sync re-registers this client's timers.
-    timer_dirty: bool,
-}
-
-/// The per-client wake-up timers a session keeps registered in its
-/// [`TimerWheel`]: the next activity-window edge (open when detached,
-/// close when attached), the next request arrival, and the CPU-gap /
-/// interception-burst expiry.
-#[derive(Clone, Copy, Default)]
-struct ClientTimers {
-    window: Option<TimerId>,
-    arrival: Option<TimerId>,
-    gap: Option<TimerId>,
 }
 
 impl Client {
@@ -573,8 +594,6 @@ impl Client {
             shed: 0,
             deferred: 0,
             intake_hold: None,
-            timers: ClientTimers::default(),
-            timer_dirty: false,
         }
     }
 
@@ -777,6 +796,26 @@ impl Client {
 enum SystemSlot<'s> {
     Borrowed(&'s mut dyn SharingSystem),
     Owned(Box<dyn SharingSystem>),
+}
+
+impl<'s> std::ops::Deref for SystemSlot<'s> {
+    type Target = dyn SharingSystem + 's;
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            SystemSlot::Borrowed(s) => &**s,
+            SystemSlot::Owned(b) => &**b,
+        }
+    }
+}
+
+impl std::ops::DerefMut for SystemSlot<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        match self {
+            SystemSlot::Borrowed(s) => &mut **s,
+            SystemSlot::Owned(b) => &mut **b,
+        }
+    }
 }
 
 /// A co-location session: the GPU, a sharing system, and a set of clients
@@ -1059,8 +1098,8 @@ pub(crate) struct SessionCore<'s> {
     intercept: InterceptMode,
     pending_completions: Vec<ClientId>,
     // Kernels held in the interception layer until their stub cost
-    // elapses, with the wheel timer that tracks each delivery instant.
-    in_transit: Vec<(SimTime, ClientId, Arc<KernelDesc>, TimerId)>,
+    // elapses, with the instant each reaches the system.
+    in_transit: Vec<(SimTime, ClientId, Arc<KernelDesc>)>,
     // Window-close detaches seen so far (migrations excluded) — lets an
     // external driver notice departures and react (e.g. rebalance).
     departures: u64,
@@ -1083,32 +1122,12 @@ pub(crate) struct SessionCore<'s> {
     // The admission policy gating best-effort request intake, fed the
     // observation stream as it is produced.
     admission: Option<Box<dyn AdmissionPolicy>>,
-    // Wake-up bookkeeping: every client window edge / arrival / gap and
-    // every in-transit launch registers a timer here, so `next_wake` is a
-    // `peek` instead of a linear scan. `dirty` lists clients whose timers
-    // must be re-synced at the end of the current settle.
-    wheel: TimerWheel<Wake>,
-    dirty: Vec<usize>,
     // Bumped whenever the set of clients or their attachment changes —
     // the cluster uses it to cache per-session departure forecasts.
     lifecycle_epoch: u64,
     // Host-observability counters (see `HostStats`).
     notifications: u64,
     departure_scans: Cell<u64>,
-    // Stride counter for the debug-build wheel-vs-scan cross-check.
-    #[cfg(debug_assertions)]
-    wake_queries: Cell<u64>,
-}
-
-/// What a wheel timer wakes the session for.
-#[derive(Copy, Clone, Debug)]
-enum Wake {
-    /// A client's window edge, arrival, or gap expiry; the payload is the
-    /// client index. Which of the three fired is irrelevant — the sync
-    /// pass recomputes all of a dirty client's timers.
-    Client(u32),
-    /// An in-transit (intercepted) launch reaching the system.
-    Launch,
 }
 
 // The whole point of the core/observer split: cores must be free to cross
@@ -1117,6 +1136,37 @@ enum Wake {
 #[allow(dead_code)]
 fn _session_core_is_send(core: SessionCore<'static>) -> impl Send {
     core
+}
+
+/// Where [`SessionCore::settle`] sends the observations it produces: the
+/// admission policy sees each one first, then the observer buffer.
+struct Emitter<'a> {
+    admission: Option<Box<dyn AdmissionPolicy>>,
+    // `Some` when any observer is registered.
+    buf: Option<&'a mut Vec<(SimTime, Observation)>>,
+    device: usize,
+}
+
+impl Emitter<'_> {
+    /// Whether observations are constructed at all.
+    fn emitting(&self) -> bool {
+        self.admission.is_some() || self.buf.is_some()
+    }
+
+    /// Builds an observation with `make` (only when emitting: some clone
+    /// strings) and delivers it to the admission policy, then the buffer.
+    fn emit(&mut self, now: SimTime, make: impl FnOnce() -> Observation) {
+        if !self.emitting() {
+            return;
+        }
+        let ev = make();
+        if let Some(p) = self.admission.as_deref_mut() {
+            p.on_event(now, self.device, &ev);
+        }
+        if let Some(buf) = self.buf.as_deref_mut() {
+            buf.push((now, ev));
+        }
+    }
 }
 
 impl fmt::Debug for Session<'_> {
@@ -1154,7 +1204,7 @@ impl<'s> SessionCore<'s> {
                 c.stub = Some(ClientStub::new(transport));
             }
         }
-        let mut core = SessionCore {
+        SessionCore {
             engine,
             metas,
             demands,
@@ -1175,25 +1225,14 @@ impl<'s> SessionCore<'s> {
             sync_observers: Vec::new(),
             events_direct: 0,
             admission: None,
-            wheel: TimerWheel::new(),
-            dirty: Vec::new(),
             lifecycle_epoch: 0,
             notifications: 0,
             departure_scans: Cell::new(0),
-            #[cfg(debug_assertions)]
-            wake_queries: Cell::new(0),
-        };
-        for i in 0..core.clients.len() {
-            core.sync_client_timers(i);
         }
-        core
     }
 
     fn system_name(&self) -> &str {
-        match &self.system {
-            SystemSlot::Borrowed(s) => s.name(),
-            SystemSlot::Owned(b) => b.name(),
-        }
+        self.system.name()
     }
 
     // Whether this core constructs observations at all: an admission
@@ -1207,17 +1246,15 @@ impl<'s> SessionCore<'s> {
     /// are *buffered* in `events_buf`; [`Session::settle`] (or the cluster
     /// barrier loop) delivers them on the driving thread.
     pub(crate) fn settle(&mut self) {
-        // `buffering`: events go to `events_buf` for observer delivery.
-        // `emitting`: events are constructed at all — an admission policy
-        // consumes the stream inline even with no observer registered.
+        // Events go to `events_buf` for observer delivery when anyone
+        // observes; an admission policy consumes them inline regardless.
         let buffering = self.observing || !self.sync_observers.is_empty();
-        let mut admission = self.admission.take();
-        let emitting = buffering || admission.is_some();
-        let device = self.device;
-        let system: &mut dyn SharingSystem = match &mut self.system {
-            SystemSlot::Borrowed(s) => &mut **s,
-            SystemSlot::Owned(b) => b.as_mut(),
+        let mut out = Emitter {
+            admission: self.admission.take(),
+            buf: buffering.then_some(&mut self.events_buf),
+            device: self.device,
         };
+        let system = &mut *self.system;
         loop {
             let now = self.engine.now();
             let mut progressed = false;
@@ -1229,15 +1266,7 @@ impl<'s> SessionCore<'s> {
                 client.waiting_kernel = false;
                 client.kernels += 1;
                 client.finish_op(now, self.warmup);
-                if emitting {
-                    let ev = Observation::KernelFinished { client: c };
-                    if let Some(p) = admission.as_deref_mut() {
-                        p.on_event(now, device, &ev);
-                    }
-                    if buffering {
-                        self.events_buf.push((now, ev));
-                    }
-                }
+                out.emit(now, || Observation::KernelFinished { client: c });
                 progressed = true;
             }
             let mut ctx = Ctx::new(&mut self.engine, &self.metas);
@@ -1251,25 +1280,18 @@ impl<'s> SessionCore<'s> {
                 if client.migrated_away {
                     continue;
                 }
+                let id = ClientId(i as u32);
                 if !client.attached && client.window().is_some_and(|w| w.from <= now) {
                     client.attached = true;
                     client.attachments += 1;
-                    system.on_client_attach(&mut ctx, ClientId(i as u32));
-                    if emitting {
-                        let ev = Observation::ClientAttached {
-                            client: ClientId(i as u32),
-                            key: client.spec.key().to_string(),
-                            priority: client.spec.priority,
-                            descriptor: client.spec.descriptor.clone(),
-                            reattach: client.attachments > 1,
-                        };
-                        if let Some(p) = admission.as_deref_mut() {
-                            p.on_event(now, device, &ev);
-                        }
-                        if buffering {
-                            self.events_buf.push((now, ev));
-                        }
-                    }
+                    system.on_client_attach(&mut ctx, id);
+                    out.emit(now, || Observation::ClientAttached {
+                        client: id,
+                        key: client.spec.key().to_string(),
+                        priority: client.spec.priority,
+                        descriptor: client.spec.descriptor.clone(),
+                        reattach: client.attachments > 1,
+                    });
                     if let Some(stub) = client.stub.as_mut() {
                         // The API startup burst (fatbin registration,
                         // device discovery) delays the first launch —
@@ -1278,10 +1300,6 @@ impl<'s> SessionCore<'s> {
                         if !cost.is_zero() {
                             client.gap_until = Some(now + cost);
                         }
-                    }
-                    if !client.timer_dirty {
-                        client.timer_dirty = true;
-                        self.dirty.push(i);
                     }
                     self.lifecycle_epoch += 1;
                     progressed = true;
@@ -1296,44 +1314,24 @@ impl<'s> SessionCore<'s> {
                     client.window_idx += 1;
                     client.waiting_kernel = false;
                     client.gap_until = None;
-                    system.on_client_detach(&mut ctx, ClientId(i as u32));
-                    if emitting {
-                        let ev = Observation::ClientDetached {
-                            client: ClientId(i as u32),
-                            key: client.spec.key().to_string(),
-                        };
-                        if let Some(p) = admission.as_deref_mut() {
-                            p.on_event(now, device, &ev);
-                        }
-                        if buffering {
-                            self.events_buf.push((now, ev));
-                        }
-                    }
+                    system.on_client_detach(&mut ctx, id);
+                    out.emit(now, || Observation::ClientDetached {
+                        client: id,
+                        key: client.spec.key().to_string(),
+                    });
                     self.departures += 1;
-                    if !client.timer_dirty {
-                        client.timer_dirty = true;
-                        self.dirty.push(i);
-                    }
                     self.lifecycle_epoch += 1;
                     progressed = true;
                 }
             }
             let clients = &self.clients;
-            let wheel = &mut self.wheel;
-            self.in_transit.retain(|&(_, c, _, tid)| {
-                if clients[c.0 as usize].attached {
-                    true
-                } else {
-                    wheel.cancel(tid);
-                    false
-                }
-            });
+            self.in_transit
+                .retain(|&(_, c, _)| clients[c.0 as usize].attached);
 
             // Launches whose interception cost has elapsed reach the system.
             let mut due = Vec::new();
-            self.in_transit.retain(|&(t, c, ref k, tid)| {
+            self.in_transit.retain(|&(t, c, ref k)| {
                 if t <= now {
-                    wheel.cancel(tid);
                     due.push((c, Arc::clone(k)));
                     false
                 } else {
@@ -1341,18 +1339,10 @@ impl<'s> SessionCore<'s> {
                 }
             });
             for (c, k) in due {
-                if emitting {
-                    let ev = Observation::KernelDispatched {
-                        client: c,
-                        kernel: Arc::clone(&k),
-                    };
-                    if let Some(p) = admission.as_deref_mut() {
-                        p.on_event(now, device, &ev);
-                    }
-                    if buffering {
-                        self.events_buf.push((now, ev));
-                    }
-                }
+                out.emit(now, || Observation::KernelDispatched {
+                    client: c,
+                    kernel: Arc::clone(&k),
+                });
                 system.on_kernel_ready(&mut ctx, c, k);
                 progressed = true;
             }
@@ -1361,78 +1351,42 @@ impl<'s> SessionCore<'s> {
                 if !client.attached {
                     continue;
                 }
-                let wake_inputs = (client.next_arrival, client.gap_until, client.intake_hold);
-                client.tick(now, admission.as_deref_mut(), ClientId(i as u32));
+                let id = ClientId(i as u32);
+                client.tick(now, out.admission.as_deref_mut(), id);
                 let kernel = client.advance(now, self.warmup);
-                if wake_inputs != (client.next_arrival, client.gap_until, client.intake_hold)
-                    && !client.timer_dirty
-                {
-                    client.timer_dirty = true;
-                    self.dirty.push(i);
+                for (arrival, latency) in client.fresh_requests.drain(..) {
+                    out.emit(now, || Observation::RequestCompleted {
+                        client: id,
+                        arrival,
+                        latency,
+                    });
                 }
-                if emitting {
-                    for (arrival, latency) in client.fresh_requests.drain(..) {
-                        let ev = Observation::RequestCompleted {
-                            client: ClientId(i as u32),
-                            arrival,
-                            latency,
-                        };
-                        if let Some(p) = admission.as_deref_mut() {
-                            p.on_event(now, device, &ev);
-                        }
-                        if buffering {
-                            self.events_buf.push((now, ev));
-                        }
-                    }
-                    for arrival in client.fresh_sheds.drain(..) {
-                        let ev = Observation::RequestShed {
-                            client: ClientId(i as u32),
-                            arrival,
-                        };
-                        if let Some(p) = admission.as_deref_mut() {
-                            p.on_event(now, device, &ev);
-                        }
-                        if buffering {
-                            self.events_buf.push((now, ev));
-                        }
-                    }
-                    for (arrival, pause) in client.fresh_deferrals.drain(..) {
-                        let ev = Observation::RequestDeferred {
-                            client: ClientId(i as u32),
-                            arrival,
-                            pause,
-                        };
-                        if let Some(p) = admission.as_deref_mut() {
-                            p.on_event(now, device, &ev);
-                        }
-                        if buffering {
-                            self.events_buf.push((now, ev));
-                        }
-                    }
+                for arrival in client.fresh_sheds.drain(..) {
+                    out.emit(now, || Observation::RequestShed {
+                        client: id,
+                        arrival,
+                    });
+                }
+                for (arrival, pause) in client.fresh_deferrals.drain(..) {
+                    out.emit(now, || Observation::RequestDeferred {
+                        client: id,
+                        arrival,
+                        pause,
+                    });
                 }
                 if let Some(kernel) = kernel {
                     progressed = true;
                     match client.stub.as_mut() {
                         Some(stub) => {
                             let cost = stub.launch_burst();
-                            let tid = self.wheel.insert(now + cost, Wake::Launch);
-                            self.in_transit
-                                .push((now + cost, ClientId(i as u32), kernel, tid));
+                            self.in_transit.push((now + cost, id, kernel));
                         }
                         None => {
-                            if emitting {
-                                let ev = Observation::KernelDispatched {
-                                    client: ClientId(i as u32),
-                                    kernel: Arc::clone(&kernel),
-                                };
-                                if let Some(p) = admission.as_deref_mut() {
-                                    p.on_event(now, device, &ev);
-                                }
-                                if buffering {
-                                    self.events_buf.push((now, ev));
-                                }
-                            }
-                            system.on_kernel_ready(&mut ctx, ClientId(i as u32), kernel)
+                            out.emit(now, || Observation::KernelDispatched {
+                                client: id,
+                                kernel: Arc::clone(&kernel),
+                            });
+                            system.on_kernel_ready(&mut ctx, id, kernel)
                         }
                     }
                 }
@@ -1443,32 +1397,28 @@ impl<'s> SessionCore<'s> {
                 break;
             }
         }
-        if emitting {
-            let now = self.engine.now();
-            if self.last_sample != Some(now) {
-                self.last_sample = Some(now);
-                let stats = self.engine.stats();
-                let ev = Observation::EngineSample {
-                    busy_thread_ns: self.engine.busy_thread_ns(),
-                    total_thread_slots: self.engine.spec().total_thread_slots(),
+        let now = self.engine.now();
+        if out.emitting() && self.last_sample != Some(now) {
+            self.last_sample = Some(now);
+            let engine = &self.engine;
+            out.emit(now, || {
+                let stats = engine.stats();
+                Observation::EngineSample {
+                    busy_thread_ns: engine.busy_thread_ns(),
+                    total_thread_slots: engine.spec().total_thread_slots(),
                     events_processed: stats.submitted
                         + stats.completed
                         + stats.preempted
                         + stats.groups,
-                };
-                if let Some(p) = admission.as_deref_mut() {
-                    p.on_event(now, device, &ev);
                 }
-                if buffering {
-                    self.events_buf.push((now, ev));
-                }
-            }
+            });
         }
-        self.admission = admission;
+        self.admission = out.admission;
         // With only sync observers registered, deliver right here — on
         // whichever worker thread is advancing this core — instead of
         // waiting for the driving thread's ordered flush.
         if !self.observing && !self.events_buf.is_empty() {
+            let device = self.device;
             let buf = std::mem::take(&mut self.events_buf);
             self.events_direct += buf.len() as u64;
             let mut sinks: Vec<_> = self
@@ -1486,109 +1436,13 @@ impl<'s> SessionCore<'s> {
             buf.clear();
             self.events_buf = buf;
         }
-        self.sync_timers();
     }
 
-    /// Re-registers the wheel timers of every client whose wake-relevant
-    /// state changed during the settle, after advancing the wheel to the
-    /// current instant (timers that fired correspond to state the settle
-    /// just processed; re-syncing is what retires them).
-    fn sync_timers(&mut self) {
-        let now = self.engine.now();
-        for (_, wake) in self.wheel.advance_to(now) {
-            // Launch timers are cancelled when their kernel is delivered,
-            // so a due one only appears if its client detached first — in
-            // which case the launch was already dropped with it. A due
-            // client timer marks its owner for re-sync (normally a no-op:
-            // the edge that fired also marked it dirty).
-            if let Wake::Client(i) = wake {
-                let i = i as usize;
-                if !self.clients[i].timer_dirty {
-                    self.clients[i].timer_dirty = true;
-                    self.dirty.push(i);
-                }
-            }
-        }
-        while let Some(i) = self.dirty.pop() {
-            self.sync_client_timers(i);
-        }
-    }
-
-    /// Cancels and re-registers client `i`'s wake timers from its current
-    /// state: the next window edge when detached, the window close /
-    /// arrival / gap expiry when attached, nothing when retired.
-    fn sync_client_timers(&mut self, i: usize) {
-        let old = {
-            let c = &mut self.clients[i];
-            c.timer_dirty = false;
-            std::mem::take(&mut c.timers)
-        };
-        for id in [old.window, old.arrival, old.gap].into_iter().flatten() {
-            self.wheel.cancel(id);
-        }
-        let c = &self.clients[i];
-        if c.retired() {
-            return;
-        }
-        let (window, arrival, gap) = if c.attached {
-            (
-                c.window().and_then(|w| w.until),
-                c.next_arrival_time(),
-                c.gap_until,
-            )
-        } else {
-            (c.window().map(|w| w.from), None, None)
-        };
-        let wake = Wake::Client(i as u32);
-        self.clients[i].timers = ClientTimers {
-            window: window.map(|t| self.wheel.insert(t, wake)),
-            arrival: arrival.map(|t| self.wheel.insert(t, wake)),
-            gap: gap.map(|t| self.wheel.insert(t, wake)),
-        };
-    }
-
-    /// The next wake-up instant, answered by the timer wheel: the earliest
-    /// of the engine's next event, the wheel's next timer, a system timer,
-    /// and the end of the run. In debug builds the answer is cross-checked
-    /// against [`Self::next_wake_scan`].
+    /// The next wake-up instant: the earliest of the engine's next event,
+    /// every live client's next window edge, request arrival and CPU-gap
+    /// expiry, every in-transit launch, a system timer, and the end of
+    /// the run. A linear scan — sessions hold a handful of clients.
     pub(crate) fn next_wake(&self) -> SimTime {
-        let mut wake = self.end;
-        if let Some(t) = self.engine.next_event_time() {
-            wake = wake.min(t);
-        }
-        if let Some(t) = self.wheel.peek() {
-            wake = wake.min(t);
-        }
-        let timer = match &self.system {
-            SystemSlot::Borrowed(s) => s.next_timer(),
-            SystemSlot::Owned(b) => b.next_timer(),
-        };
-        if let Some(t) = timer {
-            wake = wake.min(t.max(self.engine.now()));
-        }
-        // Cross-check the wheel against the linear scan — every query at
-        // first, then on a stride: the scan is O(clients) per call, which
-        // turns big debug-build integration runs quadratic if done always.
-        #[cfg(debug_assertions)]
-        {
-            let n = self.wake_queries.get();
-            self.wake_queries.set(n.wrapping_add(1));
-            if n < 4096 || n.is_multiple_of(61) {
-                assert_eq!(
-                    wake,
-                    self.next_wake_scan(),
-                    "timer wheel and linear scan disagree on the next wake-up"
-                );
-            }
-        }
-        wake
-    }
-
-    /// The next wake-up instant, rediscovered by a linear scan over every
-    /// client and in-transit launch — the pre-wheel implementation, kept
-    /// as the reference the wheel is cross-checked against (and as the
-    /// baseline the `micro` bench compares the wheel to).
-    pub(crate) fn next_wake_scan(&self) -> SimTime {
         let mut wake = self.end;
         if let Some(t) = self.engine.next_event_time() {
             wake = wake.min(t);
@@ -1613,14 +1467,10 @@ impl<'s> SessionCore<'s> {
                 wake = wake.min(t);
             }
         }
-        for &(t, _, _, _) in &self.in_transit {
+        for &(t, _, _) in &self.in_transit {
             wake = wake.min(t);
         }
-        let timer = match &self.system {
-            SystemSlot::Borrowed(s) => s.next_timer(),
-            SystemSlot::Owned(b) => b.next_timer(),
-        };
-        if let Some(t) = timer {
+        if let Some(t) = self.system.next_timer() {
             wake = wake.min(t.max(self.engine.now()));
         }
         wake
@@ -1632,10 +1482,7 @@ impl<'s> SessionCore<'s> {
         match self.engine.advance(limit) {
             Step::Notified(notes) => {
                 self.notifications += notes.len() as u64;
-                let system: &mut dyn SharingSystem = match &mut self.system {
-                    SystemSlot::Borrowed(s) => &mut **s,
-                    SystemSlot::Owned(b) => b.as_mut(),
-                };
+                let system = &mut *self.system;
                 let mut ctx = Ctx::new(&mut self.engine, &self.metas);
                 for n in &notes {
                     system.on_notification(&mut ctx, n);
@@ -1726,25 +1573,13 @@ impl<'s> SessionCore<'s> {
     /// state carries all accumulated metrics.
     pub(crate) fn extract_client(&mut self, i: usize) -> (ClientMeta, Client) {
         let id = ClientId(i as u32);
-        let system: &mut dyn SharingSystem = match &mut self.system {
-            SystemSlot::Borrowed(s) => &mut **s,
-            SystemSlot::Owned(b) => b.as_mut(),
-        };
         if self.clients[i].attached {
             let mut ctx = Ctx::new(&mut self.engine, &self.metas);
-            system.on_client_detach(&mut ctx, id);
+            self.system.on_client_detach(&mut ctx, id);
             self.pending_completions.extend(ctx.take_completions());
         }
         self.pending_completions.retain(|&c| c != id);
-        let wheel = &mut self.wheel;
-        self.in_transit.retain(|&(_, c, _, tid)| {
-            if c == id {
-                wheel.cancel(tid);
-                false
-            } else {
-                true
-            }
-        });
+        self.in_transit.retain(|&(_, c, _)| c != id);
         let mut tombstone = Client::new(JobSpec::training(
             self.clients[i].spec.name.clone(),
             Vec::new(),
@@ -1752,16 +1587,6 @@ impl<'s> SessionCore<'s> {
         tombstone.window_idx = tombstone.spec.windows.len();
         tombstone.migrated_away = true;
         let mut client = std::mem::replace(&mut self.clients[i], tombstone);
-        // Timer ids are meaningless outside this session's wheel: cancel
-        // them here so the destination session registers fresh ones.
-        let timers = std::mem::take(&mut client.timers);
-        for tid in [timers.window, timers.arrival, timers.gap]
-            .into_iter()
-            .flatten()
-        {
-            self.wheel.cancel(tid);
-        }
-        client.timer_dirty = false;
         self.lifecycle_epoch += 1;
         // The kernel that was in flight (if any) was preempted with the
         // detach; the client re-issues it on the destination device.
@@ -1788,12 +1613,8 @@ impl<'s> SessionCore<'s> {
             .push(job_demand(&client.spec, self.engine.spec()));
         let now = self.engine.now();
         if client.attached {
-            let system: &mut dyn SharingSystem = match &mut self.system {
-                SystemSlot::Borrowed(s) => &mut **s,
-                SystemSlot::Owned(b) => b.as_mut(),
-            };
             let mut ctx = Ctx::new(&mut self.engine, &self.metas);
-            system.on_client_attach(&mut ctx, id);
+            self.system.on_client_attach(&mut ctx, id);
             client.attachments += 1;
             self.pending_completions.extend(ctx.take_completions());
             if let Some(stub) = client.stub.as_mut() {
@@ -1823,7 +1644,6 @@ impl<'s> SessionCore<'s> {
         client.observe = self.emitting();
         self.clients.push(client);
         self.lifecycle_epoch += 1;
-        self.sync_client_timers(id.0 as usize);
         id
     }
 
@@ -1843,7 +1663,6 @@ impl<'s> SessionCore<'s> {
         }
         self.clients.push(client);
         self.lifecycle_epoch += 1;
-        self.sync_client_timers(id.0 as usize);
         id
     }
 }
@@ -1962,19 +1781,8 @@ impl<'s> Session<'s> {
     /// The next instant anything interesting happens: an engine event, a
     /// client lifecycle edge, a request arrival, a CPU gap or interception
     /// cost expiring, or a system timer — capped at the end of the run.
-    ///
-    /// Answered in O(wheel levels) by the session's [`TimerWheel`]; debug
-    /// builds cross-check against [`Session::next_wake_scan`].
     pub fn next_wake(&self) -> SimTime {
         self.core.next_wake()
-    }
-
-    /// The linear-scan reference implementation of [`Session::next_wake`]:
-    /// O(clients) per call, kept as the debug-assert cross-check for the
-    /// timer wheel (and as the baseline the `micro` bench measures the
-    /// wheel against).
-    pub fn next_wake_scan(&self) -> SimTime {
-        self.core.next_wake_scan()
     }
 
     /// Advances simulated time to at most `limit`, delivering any engine
@@ -2162,6 +1970,40 @@ mod tests {
         // An empty request still completes per arrival: not rejected.
         let svc = JobSpec::inference("svc", Vec::new(), vec![SimTime::ZERO]);
         assert_eq!(svc.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_blocks_over_the_cuda_limit() {
+        let block = |threads: u32| {
+            KernelDesc::builder("wide")
+                .grid(4)
+                .block(threads)
+                .block_cost(SimSpan::from_micros(10))
+                .build_arc()
+        };
+        let train = |threads| JobSpec::training("t", vec![WorkloadOp::Kernel(block(threads))]);
+        assert_eq!(train(MAX_THREADS_PER_BLOCK).validate(), Ok(()));
+        assert_eq!(
+            train(4096).validate(),
+            Err(JobError::BlockTooLarge {
+                name: "t".into(),
+                kernel: "wide".into(),
+                threads: 4096,
+            })
+        );
+        // Inference requests are checked too.
+        let svc = JobSpec::inference(
+            "svc",
+            vec![
+                WorkloadOp::Kernel(kernel(1)),
+                WorkloadOp::Kernel(block(1025)),
+            ],
+            vec![SimTime::ZERO],
+        );
+        assert!(matches!(
+            svc.validate(),
+            Err(JobError::BlockTooLarge { threads: 1025, .. })
+        ));
     }
 
     #[test]
@@ -2678,6 +2520,56 @@ mod tests {
             session.run()
         };
         assert_eq!(format!("{:?}", mk(false)), format!("{:?}", mk(true)));
+    }
+
+    #[test]
+    fn next_wake_visits_every_wake_source_at_its_exact_instant() {
+        let ms = SimTime::from_millis;
+        // A twin of each client's interception stub: both clients pay the
+        // same startup burst, and the service's first launch follows it.
+        let mut twin = ClientStub::new(Transport::SharedMemory);
+        let attach = twin.attach_burst();
+        let launch = twin.launch_burst();
+        let svc = JobSpec::inference("svc", vec![WorkloadOp::Kernel(kernel(1000))], vec![ms(8)])
+            .active_from(ms(5));
+        let train = JobSpec::training("train", vec![WorkloadOp::CpuGap(SimSpan::from_millis(3))])
+            .active_window(ms(10), ms(20));
+        let mut session = Colocation::on(GpuSpec::tiny())
+            .client(svc)
+            .client(train)
+            .config(cfg(1))
+            .transport(Transport::SharedMemory)
+            .into_session();
+        let mut wakes = Vec::new();
+        loop {
+            session.settle();
+            if session.is_done() {
+                break;
+            }
+            let wake = session.next_wake();
+            wakes.push(wake);
+            session.advance_to(wake);
+        }
+        let kernel_start = ms(8) + launch + SimSpan::from_micros(4);
+        let gap = |k: u64| ms(10) + attach + SimSpan::from_millis(3 * k);
+        assert_eq!(
+            wakes,
+            vec![
+                ms(5),                                  // svc's window opens
+                ms(5) + attach,                         // svc's startup burst ends
+                ms(8),                                  // the request arrives
+                ms(8) + launch,                         // its launch leaves the stub
+                kernel_start,                           // the engine starts it
+                kernel_start + SimSpan::from_millis(1), // ... and finishes it
+                ms(10),                                 // train's window opens
+                gap(0),                                 // its startup burst ends
+                gap(1),                                 // CPU-gap expiries
+                gap(2),
+                gap(3),
+                ms(20),   // train's window closes
+                ms(1000), // the end of the run
+            ]
+        );
     }
 
     #[test]

@@ -350,7 +350,7 @@ pub struct HostStats {
     /// Engine→system notifications delivered, fleet-wide (deterministic).
     pub notifications: u64,
     /// Linear next-departure scans performed, fleet-wide (deterministic).
-    /// The fleet wheel re-scans a device only when its client lifecycle
+    /// The barrier loop re-scans a device only when its client lifecycle
     /// changed, so this stays near O(devices + lifecycle edges) instead
     /// of O(barriers × devices).
     pub departure_scans: u64,

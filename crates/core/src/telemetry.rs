@@ -16,7 +16,7 @@
 //! count, exactly like [`LoadMonitor`](crate::events::LoadMonitor).
 //!
 //! A deliberate design note on sampling: [`Timeline`] does **not**
-//! schedule wake-ups on the cluster's fleet timer wheel. An extra barrier
+//! add interaction points to the cluster's barrier loop. An extra barrier
 //! at each cadence instant would force every session to settle there,
 //! emitting extra [`Observation::EngineSample`]s — which feed
 //! [`LoadMonitor`](crate::events::LoadMonitor) and could therefore perturb
@@ -706,7 +706,7 @@ impl DeviceSeries {
 ///
 /// Windows are `[k·cadence, (k+1)·cadence)` and close lazily as
 /// timestamped events stream past each boundary (see the module docs for
-/// why no fleet-wheel wake-up is scheduled); the export is a pure
+/// why no fleet barrier is scheduled); the export is a pure
 /// function of the per-device event stream, hence byte-identical for
 /// every cluster thread count.
 ///

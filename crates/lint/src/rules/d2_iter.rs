@@ -7,9 +7,8 @@
 //! trying to prove which maps are iterated (a whole-program analysis),
 //! the rule bans the types outright in simulation crates: `BTreeMap` /
 //! `BTreeSet` are drop-in for the access patterns this codebase uses,
-//! and the rare genuinely-lookup-only map carries an allow whose reason
-//! must argue exactly that (see `tally_core::timewheel` for the model
-//! citizen).
+//! and a genuinely lookup-only map would carry an allow whose reason
+//! argues exactly that. No simulation crate needs one today.
 
 use super::{FileCtx, Rule};
 use crate::lexer::TokKind;

@@ -65,18 +65,13 @@ fn every_suppression_is_reasoned_and_used() {
         );
     }
 
-    // The audit trail this PR created: the D1/D2 exceptions documented
-    // in ARCHITECTURE.md are present and accounted for.
+    // The audit trail: the D1 exceptions documented in ARCHITECTURE.md
+    // are present and accounted for. (D2 has no exception left: every
+    // simulation crate uses ordered containers only.)
     let d1 = report
         .suppressions
         .iter()
         .filter(|s| s.rule == "D1-float-schedule")
         .count();
-    let d2 = report
-        .suppressions
-        .iter()
-        .filter(|s| s.rule == "D2-unordered-iter")
-        .count();
     assert!(d1 >= 1, "expected at least one reasoned D1 site");
-    assert!(d2 >= 1, "expected at least one reasoned D2 site");
 }

@@ -501,8 +501,8 @@ fn idle_devices_never_force_full_fleet_departure_scans() {
     // One client cycles through 20 activity windows on its device while
     // seven single-trainer devices sit in steady state. Forecasting the
     // fleet's next departure by folding over every device at every barrier
-    // would cost barriers x devices scans; the epoch-gated fleet timer
-    // wheel re-scans a session only when its client lifecycle actually
+    // would cost barriers x devices scans; the epoch-gated departure
+    // cache re-scans a session only when its client lifecycle actually
     // changed, so idle devices contribute O(1) scans for the whole run.
     let spec = GpuSpec::a100();
     let c = cfg(4);
@@ -540,6 +540,10 @@ fn idle_devices_never_force_full_fleet_departure_scans() {
         "expected a barrier per window close, got {}",
         host.barriers
     );
+    // Exactly one: a spurious barrier would only add engine samples to
+    // the observer stream, which no report shows.
+    assert_eq!(host.barriers, 20, "one barrier per window close, no more");
+    assert_eq!(host.departure_scans, 27, "departure scans moved");
     // The naive fold costs one scan per device per barrier.
     let naive = host.barriers * report.devices.len() as u64;
     assert!(

@@ -83,13 +83,15 @@
 //! assert_ne!(report.clients[0].device, report.clients[1].device);
 //! ```
 
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::Mutex;
 
 use tally_gpu::{GpuSpec, SimSpan, SimTime};
 
 use crate::admission::AdmissionPolicy;
-use crate::events::{LoadMonitor, Observation, SharedObserver, SharedSyncObserver, TraceError};
+use crate::events::{
+    LoadMonitor, Observation, SharedObserver, SharedSyncObserver, Sink, TraceError,
+};
 use crate::harness::{
     compile_trace, Colocation, HarnessConfig, InterceptMode, JobKind, JobSpec, Session,
     SessionEvent,
@@ -469,8 +471,7 @@ pub struct Cluster {
     intercept: InterceptMode,
     migrate_on_detach: bool,
     rebalance_every: Option<SimSpan>,
-    observers: Vec<SharedObserver>,
-    sync_observers: Vec<SharedSyncObserver>,
+    observers: Vec<Sink>,
     admission_factory: Option<AdmissionFactory>,
     monitor_window: SimSpan,
     threads: Option<usize>,
@@ -516,7 +517,6 @@ impl Cluster {
             migrate_on_detach: true,
             rebalance_every: None,
             observers: Vec::new(),
-            sync_observers: Vec::new(),
             admission_factory: None,
             monitor_window: SimSpan::from_millis(100),
             threads: None,
@@ -577,20 +577,17 @@ impl Cluster {
     /// [`Observation::Rebalance`] markers. The handle is shared — keep a
     /// clone to read the observer's state back after [`Cluster::run`].
     pub fn observer(mut self, observer: SharedObserver) -> Self {
-        self.observers.push(observer);
+        self.observers.push(Sink::Local(observer));
         self
     }
 
     /// Registers a thread-safe observer for the fleet-wide event stream
-    /// (see [`SharedSyncObserver`]). Unlike [`Cluster::observer`], sync
-    /// observers are delivered to *directly from the worker threads* as
-    /// sessions settle — no per-barrier ordered flush on the driving
-    /// thread. Per-device event order is still exact; the interleaving
-    /// *across* devices follows worker execution order, so only
-    /// per-device (or commutative) state is deterministic. Registering
-    /// any `Rc` observer switches everyone back to the ordered flush.
+    /// (see [`SharedSyncObserver`]). It receives exactly the stream
+    /// [`Cluster::observer`] delivers: every observation, flushed on the
+    /// driving thread in device order after each barrier, identical at
+    /// every worker-thread count.
     pub fn sync_observer(mut self, observer: SharedSyncObserver) -> Self {
-        self.sync_observers.push(observer);
+        self.observers.push(Sink::Sync(observer));
         self
     }
 
@@ -729,7 +726,6 @@ impl Cluster {
             migrate_on_detach,
             rebalance_every,
             observers,
-            sync_observers,
             admission_factory,
             monitor_window,
             threads,
@@ -749,14 +745,12 @@ impl Cluster {
         });
 
         // The built-in load monitor feeds the runtime DeviceLoad signals.
-        // It is a *sync* observer: its state is partitioned per device, so
-        // worker threads can feed it directly as they settle — the ordered
-        // per-barrier flush only switches on when an `Rc` observer needs
-        // it. User observers of either kind ride the same streams.
-        let monitor = LoadMonitor::shared_sync(monitor_window);
-        let all_observers: Vec<SharedObserver> = observers;
-        let mut all_sync: Vec<SharedSyncObserver> = vec![monitor.clone()];
-        all_sync.extend(sync_observers);
+        // It is the first sink of every session, ahead of the user's
+        // observers of either handle kind; all of them get one stream,
+        // flushed on this thread in device order.
+        let monitor = LoadMonitor::shared(monitor_window);
+        let mut sinks = vec![Sink::Local(monitor.clone())];
+        sinks.extend(observers);
 
         // Give every explicitly added client a stable key (jobs may repeat
         // a name); trace clients carry their event key.
@@ -832,11 +826,8 @@ impl Cluster {
                     .intercept(intercept)
                     .into_session();
                 session.set_device_index(d);
-                for obs in &all_observers {
-                    session.add_observer(obs.clone());
-                }
-                for obs in &all_sync {
-                    session.add_sync_observer(obs.clone());
+                for sink in &sinks {
+                    session.add_sink(sink.clone());
                 }
                 if let Some(factory) = &admission_factory {
                     session.set_admission(factory(d));
@@ -930,8 +921,7 @@ impl Cluster {
                     &jobs,
                     now,
                     &monitor,
-                    &all_observers,
-                    &all_sync,
+                    &sinks,
                     &mut MigrationTallies {
                         per_client_migrations: &mut per_client_migrations,
                         per_client_stall: &mut per_client_stall,
@@ -944,8 +934,7 @@ impl Cluster {
                     &mut host,
                 );
                 fleet_emit(
-                    &all_observers,
-                    &all_sync,
+                    &sinks,
                     now,
                     crate::events::FLEET_DEVICE,
                     &Observation::Rebalance { moved },
@@ -997,13 +986,13 @@ impl Cluster {
             // then deliver the observations they buffered in device order.
             let start = host_now();
             advance_fleet(&mut sessions, barrier, threads);
+            for s in sessions.iter_mut() {
+                s.flush_events();
+            }
             let spent = start.elapsed().as_nanos() as u64;
             host.barriers += 1;
             host.advance_ns += spent;
             host.max_barrier_ns = host.max_barrier_ns.max(spent);
-            for s in sessions.iter_mut() {
-                s.flush_events();
-            }
         }
 
         // Trace clients whose first arrival fell at/after the end of the
@@ -1123,23 +1112,12 @@ fn advance_fleet(sessions: &mut [Session<'static>], barrier: SimTime, threads: u
     });
 }
 
-/// Delivers a fleet-level observation (stamped `device`) to both observer
-/// kinds — these are produced on the driving thread between barriers, so
-/// sync observers see them in the same deterministic order `Rc` ones do.
-fn fleet_emit(
-    observers: &[SharedObserver],
-    sync: &[SharedSyncObserver],
-    at: SimTime,
-    device: usize,
-    ev: &Observation,
-) {
-    for obs in observers {
-        obs.borrow_mut().on_event(at, device, ev);
-    }
-    for obs in sync {
-        obs.lock()
-            .expect("sync observer poisoned")
-            .on_event(at, device, ev);
+/// Delivers a fleet-level observation (stamped `device`) to every sink.
+/// These are produced on the driving thread between barriers, after the
+/// sessions' buffers were flushed, so they keep their place in the stream.
+fn fleet_emit(sinks: &[Sink], at: SimTime, device: usize, ev: &Observation) {
+    for sink in sinks {
+        sink.with(|obs| obs.on_event(at, device, ev));
     }
 }
 
@@ -1238,10 +1216,6 @@ fn snapshot(
     load
 }
 
-fn lock_monitor(monitor: &Mutex<LoadMonitor>) -> std::sync::MutexGuard<'_, LoadMonitor> {
-    monitor.lock().expect("load monitor poisoned")
-}
-
 /// Places a trace client at its injection instant: snapshots the loads of
 /// the clients live right now (plus any admitted this same instant), asks
 /// the policy, and admits the job into the chosen session. The session's
@@ -1254,13 +1228,13 @@ fn place_pending(
     jobs: &[JobSpec],
     k: usize,
     now: SimTime,
-    monitor: &Mutex<LoadMonitor>,
+    monitor: &RefCell<LoadMonitor>,
     placements: &mut [Option<usize>],
     locations: &mut [Option<(usize, usize)>],
     host: &mut HostStats,
 ) {
     let loads: Vec<DeviceLoad> = {
-        let m = lock_monitor(monitor);
+        let m = monitor.borrow();
         devices
             .iter()
             .enumerate()
@@ -1332,14 +1306,13 @@ fn rebalance_pass(
     locations: &mut [Option<(usize, usize)>],
     jobs: &[JobSpec],
     now: SimTime,
-    monitor: &Mutex<LoadMonitor>,
-    observers: &[SharedObserver],
-    sync: &[SharedSyncObserver],
+    monitor: &RefCell<LoadMonitor>,
+    sinks: &[Sink],
     tallies: &mut MigrationTallies<'_>,
     host: &mut HostStats,
 ) -> u64 {
     let mut loads: Vec<DeviceLoad> = {
-        let m = lock_monitor(monitor);
+        let m = monitor.borrow();
         devices
             .iter()
             .enumerate()
@@ -1389,8 +1362,8 @@ fn rebalance_pass(
             bytes,
             stall,
         };
-        fleet_emit(observers, sync, now, d, &ev);
-        let m = lock_monitor(monitor);
+        fleet_emit(sinks, now, d, &ev);
+        let m = monitor.borrow();
         for dev in [d, target] {
             loads[dev] = snapshot(
                 dev,
@@ -2066,7 +2039,7 @@ mod tests {
     /// migration pass.
     struct HandFleet {
         sessions: Vec<Session<'static>>,
-        monitor: Arc<Mutex<LoadMonitor>>,
+        monitor: std::rc::Rc<RefCell<LoadMonitor>>,
         jobs: Vec<JobSpec>,
         locations: Vec<Option<(usize, usize)>>,
     }
@@ -2075,7 +2048,7 @@ mod tests {
     /// each host a saturating service and two 1 GB trainers, device 15 a
     /// lone trainer, and the rest sit idle.
     fn hot_fleet() -> HandFleet {
-        let monitor = LoadMonitor::shared_sync(SimSpan::from_millis(50));
+        let monitor = LoadMonitor::shared(SimSpan::from_millis(50));
         let mut jobs = Vec::new();
         let mut locations = Vec::new();
         let mut sessions: Vec<Session<'static>> = (0..16)
@@ -2106,7 +2079,7 @@ mod tests {
                     .config(dev_cfg)
                     .into_session();
                 session.set_device_index(d);
-                session.add_sync_observer(monitor.clone());
+                session.add_observer(monitor.clone());
                 session
             })
             .collect();
@@ -2149,7 +2122,7 @@ mod tests {
         let (mut ins, mut outs) = (vec![0; 16], vec![0; 16]);
         let mut host = HostStats::default();
         let now = sessions[0].now();
-        let sync: SharedSyncObserver = monitor.clone();
+        let sink = Sink::Local(monitor.clone());
         let moved = rebalance_pass(
             spy,
             &vec![GpuSpec::tiny(); 16],
@@ -2159,8 +2132,7 @@ mod tests {
             &jobs,
             now,
             &monitor,
-            &[],
-            std::slice::from_ref(&sync),
+            std::slice::from_ref(&sink),
             &mut MigrationTallies {
                 per_client_migrations: &mut per_client.0,
                 per_client_stall: &mut per_client.1,
@@ -2201,7 +2173,7 @@ mod tests {
                         &spec,
                         active.map(|j| (j.priority.is_high(), job_demand(j, &spec))),
                     );
-                    fill_runtime_signals(&mut load, &lock_monitor(&monitor), now);
+                    fill_runtime_signals(&mut load, &monitor.borrow(), now);
                     load.transfer = topology.transfer_time(job.state_bytes, from, dev);
                     load
                 })

@@ -22,8 +22,9 @@
 //!   [`Colocation`](crate::harness::Colocation),
 //!   [`Session`](crate::harness::Session), or
 //!   [`Cluster`](crate::cluster::Cluster) to receive it. Observers are
-//!   shared handles ([`SharedObserver`]) so the caller keeps access to
-//!   whatever the observer accumulated after the run finishes.
+//!   shared handles ([`SharedObserver`], or [`SharedSyncObserver`] where
+//!   the caller needs `Send`) so the caller keeps access to whatever the
+//!   observer accumulated after the run finishes.
 //!
 //! Two built-in observers ship: [`LoadMonitor`] (below) turns the stream
 //! into live per-device load signals for placement policies, and
@@ -304,18 +305,36 @@ pub trait SessionObserver {
 /// another to read the observer's state back after the run.
 pub type SharedObserver = Rc<RefCell<dyn SessionObserver>>;
 
-/// A thread-safe shared observer handle.
+/// A thread-safe shared observer handle, for callers that want `Send`
+/// access to what the observer accumulated.
 ///
-/// Sync observers receive each device's observations in per-device
-/// order, but when a [`Cluster`](crate::cluster::Cluster) advances with
-/// multiple worker threads and *only* sync observers are registered,
-/// events are delivered directly from the workers — so the interleaving
-/// *across* devices is not deterministic. Observers whose state is
-/// partitioned per device (like [`LoadMonitor`]) see identical
-/// query-time state either way; order-sensitive observers should use the
-/// `Rc`-based [`SharedObserver`] path, which keeps the ordered
-/// device-index flush.
+/// Delivery does not depend on the handle kind: a
+/// [`Session`](crate::harness::Session) or
+/// [`Cluster`](crate::cluster::Cluster) delivers every observation on the
+/// driving thread, in device order, to each registered observer in
+/// registration order, so a sync observer sees the same ordered stream as
+/// a [`SharedObserver`] — identical at every worker-thread count.
 pub type SharedSyncObserver = Arc<Mutex<dyn SessionObserver + Send>>;
+
+/// One registered observer, of either handle kind. Sessions and clusters
+/// keep a single list of these and deliver through it on the driving
+/// thread.
+#[derive(Clone)]
+pub(crate) enum Sink {
+    Local(SharedObserver),
+    Sync(SharedSyncObserver),
+}
+
+impl Sink {
+    /// Runs `f` on the observer, borrowed or locked once for the whole
+    /// call.
+    pub(crate) fn with(&self, f: impl FnOnce(&mut dyn SessionObserver)) {
+        match self {
+            Sink::Local(o) => f(&mut *o.borrow_mut()),
+            Sink::Sync(o) => f(&mut *o.lock().expect("sync observer poisoned")),
+        }
+    }
+}
 
 /// Per-device live load signals derived from the observation stream — the
 /// runtime half of [`DeviceLoad`](crate::cluster::DeviceLoad).
@@ -452,15 +471,6 @@ impl LoadMonitor {
     /// A shared handle to a fresh monitor (see [`SharedObserver`]).
     pub fn shared(window: SimSpan) -> Rc<RefCell<LoadMonitor>> {
         Rc::new(RefCell::new(LoadMonitor::new(window)))
-    }
-
-    /// A thread-safe shared handle to a fresh monitor (see
-    /// [`SharedSyncObserver`]). The monitor's state is partitioned per
-    /// device and each device's events arrive in per-device order, so
-    /// direct worker-thread delivery yields the same query-time signals
-    /// as the ordered flush.
-    pub fn shared_sync(window: SimSpan) -> Arc<Mutex<LoadMonitor>> {
-        Arc::new(Mutex::new(LoadMonitor::new(window)))
     }
 
     /// The averaging window.

@@ -49,7 +49,7 @@ use tally_gpu::{ClientId, Engine, GpuSpec, KernelDesc, Priority, SimSpan, SimTim
 use crate::admission::{AdmissionPolicy, AdmissionVerdict};
 use crate::api::{ClientStub, Transport};
 use crate::cluster::job_demand;
-use crate::events::{ClientEvent, Observation, SharedObserver, SharedSyncObserver, TraceError};
+use crate::events::{ClientEvent, Observation, SharedObserver, Sink, TraceError};
 use crate::metrics::{ClientReport, LatencyRecorder, RunReport};
 use crate::system::{ClientMeta, Ctx, Passthrough, SharingSystem};
 
@@ -857,8 +857,7 @@ pub struct Colocation<'s> {
     system: Option<SystemSlot<'s>>,
     cfg: HarnessConfig,
     intercept: InterceptMode,
-    observers: Vec<SharedObserver>,
-    sync_observers: Vec<SharedSyncObserver>,
+    observers: Vec<Sink>,
     admission: Option<Box<dyn AdmissionPolicy>>,
 }
 
@@ -883,7 +882,6 @@ impl<'s> Colocation<'s> {
             cfg: HarnessConfig::default(),
             intercept: InterceptMode::Native,
             observers: Vec::new(),
-            sync_observers: Vec::new(),
             admission: None,
         }
     }
@@ -927,18 +925,7 @@ impl<'s> Colocation<'s> {
     /// observer's state back after [`Colocation::run`]. May be called
     /// several times; observers are notified in registration order.
     pub fn observer(mut self, observer: SharedObserver) -> Self {
-        self.observers.push(observer);
-        self
-    }
-
-    /// Registers a thread-safe observer (see
-    /// [`SharedSyncObserver`]). For a
-    /// single-GPU session this behaves exactly like
-    /// [`Colocation::observer`]; under a multi-threaded
-    /// [`Cluster`](crate::cluster::Cluster) sync observers can be fed
-    /// directly from worker threads.
-    pub fn sync_observer(mut self, observer: SharedSyncObserver) -> Self {
-        self.sync_observers.push(observer);
+        self.observers.push(Sink::Local(observer));
         self
     }
 
@@ -1019,7 +1006,6 @@ impl<'s> Colocation<'s> {
             cfg,
             intercept,
             observers,
-            sync_observers,
             admission,
         } = self;
         for job in &jobs {
@@ -1029,11 +1015,8 @@ impl<'s> Colocation<'s> {
         }
         let system = system.unwrap_or_else(|| SystemSlot::Owned(Box::new(Passthrough::new())));
         let mut session = Session::new(&spec, jobs, system, &cfg, intercept);
-        for obs in observers {
-            session.add_observer(obs);
-        }
-        for obs in sync_observers {
-            session.add_sync_observer(obs);
+        for sink in observers {
+            session.add_sink(sink);
         }
         if let Some(policy) = admission {
             session.set_admission(policy);
@@ -1063,10 +1046,10 @@ impl<'s> Colocation<'s> {
 /// observations afterwards in device order.
 pub struct Session<'s> {
     core: SessionCore<'s>,
-    // The observer sinks live outside the core: they are `Rc`-shared (not
-    // `Send`), so the core can cross threads while delivery stays on the
-    // driving thread.
-    observers: Vec<SharedObserver>,
+    // The observer sinks live outside the core: they may be `Rc`-shared
+    // (not `Send`), so the core can cross threads while delivery stays on
+    // the driving thread.
+    observers: Vec<Sink>,
     // Observations delivered to observers so far (a deterministic count).
     events_delivered: u64,
 }
@@ -1077,10 +1060,9 @@ pub struct Session<'s> {
 /// The split is what makes barrier-parallel cluster advancement possible:
 /// `SessionCore` is `Send` (checked at compile time below), so a
 /// [`Cluster`](crate::cluster::Cluster) can farm cores out to a scoped
-/// thread pool between barriers, while [`SharedObserver`]s — which are
-/// deliberately `Rc`-shared single-threaded sinks — only ever run on the
-/// driving thread, fed from each core's buffered events in fixed device
-/// order.
+/// thread pool between barriers, while observers — of either handle
+/// kind — only ever run on the driving thread, fed from each core's
+/// buffered events in fixed device order.
 pub(crate) struct SessionCore<'s> {
     engine: Engine,
     metas: Vec<ClientMeta>,
@@ -1103,8 +1085,8 @@ pub(crate) struct SessionCore<'s> {
     // Window-close detaches seen so far (migrations excluded) — lets an
     // external driver notice departures and react (e.g. rebalance).
     departures: u64,
-    // Observation plumbing: whether any `Rc` observer is registered on
-    // the owning `Session` (clients buffer extra detail only when true),
+    // Observation plumbing: whether any observer is registered on the
+    // owning `Session` (clients buffer extra detail only when true),
     // the device index stamped on every delivery, the buffered
     // observations themselves, and the instant of the last engine
     // counter sample.
@@ -1112,13 +1094,6 @@ pub(crate) struct SessionCore<'s> {
     device: usize,
     events_buf: Vec<(SimTime, Observation)>,
     last_sample: Option<SimTime>,
-    // Thread-safe observers, delivered to directly from `settle` (i.e.
-    // from whichever worker thread advances this core) when no `Rc`
-    // observer needs the ordered flush.
-    sync_observers: Vec<SharedSyncObserver>,
-    // Observations delivered directly to sync observers (the counterpart
-    // of `Session::events_delivered`).
-    events_direct: u64,
     // The admission policy gating best-effort request intake, fed the
     // observation stream as it is produced.
     admission: Option<Box<dyn AdmissionPolicy>>,
@@ -1222,8 +1197,6 @@ impl<'s> SessionCore<'s> {
             device: 0,
             events_buf: Vec::new(),
             last_sample: None,
-            sync_observers: Vec::new(),
-            events_direct: 0,
             admission: None,
             lifecycle_epoch: 0,
             notifications: 0,
@@ -1238,7 +1211,7 @@ impl<'s> SessionCore<'s> {
     // Whether this core constructs observations at all: an admission
     // policy consumes the stream inline even with no observer registered.
     fn emitting(&self) -> bool {
-        self.observing || !self.sync_observers.is_empty() || self.admission.is_some()
+        self.observing || self.admission.is_some()
     }
 
     /// Settles the current instant to a fixed point (see the module docs
@@ -1248,10 +1221,9 @@ impl<'s> SessionCore<'s> {
     pub(crate) fn settle(&mut self) {
         // Events go to `events_buf` for observer delivery when anyone
         // observes; an admission policy consumes them inline regardless.
-        let buffering = self.observing || !self.sync_observers.is_empty();
         let mut out = Emitter {
             admission: self.admission.take(),
-            buf: buffering.then_some(&mut self.events_buf),
+            buf: self.observing.then_some(&mut self.events_buf),
             device: self.device,
         };
         let system = &mut *self.system;
@@ -1414,28 +1386,6 @@ impl<'s> SessionCore<'s> {
             });
         }
         self.admission = out.admission;
-        // With only sync observers registered, deliver right here — on
-        // whichever worker thread is advancing this core — instead of
-        // waiting for the driving thread's ordered flush.
-        if !self.observing && !self.events_buf.is_empty() {
-            let device = self.device;
-            let buf = std::mem::take(&mut self.events_buf);
-            self.events_direct += buf.len() as u64;
-            let mut sinks: Vec<_> = self
-                .sync_observers
-                .iter()
-                .map(|o| o.lock().expect("sync observer poisoned"))
-                .collect();
-            for (at, ev) in &buf {
-                for sink in &mut sinks {
-                    sink.on_event(*at, device, ev);
-                }
-            }
-            drop(sinks);
-            let mut buf = buf;
-            buf.clear();
-            self.events_buf = buf;
-        }
     }
 
     /// The next wake-up instant: the earliest of the engine's next event,
@@ -1687,22 +1637,13 @@ impl<'s> Session<'s> {
     /// [`Colocation::into_session`] can attach observers afterwards — the
     /// multi-GPU [`Cluster`](crate::cluster::Cluster) does exactly this.
     pub fn add_observer(&mut self, observer: SharedObserver) {
-        self.observers.push(observer);
-        self.core.observing = true;
-        for c in &mut self.core.clients {
-            c.observe = true;
-        }
+        self.add_sink(Sink::Local(observer));
     }
 
-    /// Registers a thread-safe observer (see
-    /// [`SharedSyncObserver`]). When
-    /// *only* sync observers are registered, the core delivers to them
-    /// directly as it settles — from whichever worker thread is
-    /// advancing it under a multi-threaded cluster; once any `Rc`
-    /// observer is present, sync observers are fed from the ordered
-    /// driving-thread flush instead.
-    pub fn add_sync_observer(&mut self, observer: SharedSyncObserver) {
-        self.core.sync_observers.push(observer);
+    /// Registers an observer of either handle kind.
+    pub(crate) fn add_sink(&mut self, sink: Sink) {
+        self.observers.push(sink);
+        self.core.observing = true;
         for c in &mut self.core.clients {
             c.observe = true;
         }
@@ -1723,28 +1664,27 @@ impl<'s> Session<'s> {
         self.core.device = device;
     }
 
-    /// Delivers the observations the core buffered, in order. The cluster
-    /// calls this after every barrier, in device-index order, so observer
-    /// streams are identical no matter how many threads advanced the
-    /// cores. (When only sync observers are registered the core delivers
-    /// directly from `settle` and this is a no-op.)
+    /// Delivers the observations the core buffered, in order, to every
+    /// registered observer of either handle kind, on the calling (driving)
+    /// thread; each observer is borrowed or locked once per flush. The
+    /// cluster calls this after every barrier, in device-index order, so
+    /// every observer's stream is identical no matter how many threads
+    /// advanced the cores.
     pub(crate) fn flush_events(&mut self) {
-        if self.core.events_buf.is_empty() {
+        let buf = &mut self.core.events_buf;
+        if buf.is_empty() {
             return;
         }
-        let mut buf = std::mem::take(&mut self.core.events_buf);
         self.events_delivered += buf.len() as u64;
-        for (at, ev) in buf.drain(..) {
-            for obs in &self.observers {
-                obs.borrow_mut().on_event(at, self.core.device, &ev);
-            }
-            for obs in &self.core.sync_observers {
-                obs.lock()
-                    .expect("sync observer poisoned")
-                    .on_event(at, self.core.device, &ev);
-            }
+        let device = self.core.device;
+        for sink in &self.observers {
+            sink.with(|obs| {
+                for (at, ev) in buf.iter() {
+                    obs.on_event(*at, device, ev);
+                }
+            });
         }
-        self.core.events_buf = buf;
+        buf.clear();
     }
 
     /// Mutable access to the advanceable ([`Send`]) part of the session —
@@ -1887,7 +1827,7 @@ impl<'s> Session<'s> {
     /// `(events delivered, notifications, departure scans)`.
     pub(crate) fn host_counters(&self) -> (u64, u64, u64) {
         (
-            self.events_delivered + self.core.events_direct,
+            self.events_delivered,
             self.core.notifications,
             self.core.departure_scans.get(),
         )

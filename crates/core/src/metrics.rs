@@ -341,9 +341,12 @@ pub struct HostStats {
     pub threads: usize,
     /// Barriers executed by the cluster drive loop.
     pub barriers: u64,
-    /// Total wall-clock nanoseconds spent in parallel advancement phases.
+    /// Total wall-clock nanoseconds spent in advancement phases: the
+    /// sessions' parallel advance to each barrier plus the ordered flush
+    /// of the observations they buffered on the way.
     pub advance_ns: u64,
-    /// Longest single advancement phase, wall-clock nanoseconds.
+    /// Longest single advancement phase (advance plus flush), wall-clock
+    /// nanoseconds.
     pub max_barrier_ns: u64,
     /// Observations delivered to observers, fleet-wide (deterministic).
     pub events: u64,

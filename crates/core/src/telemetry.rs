@@ -10,10 +10,11 @@
 //! changes **no** simulation output (`tests/telemetry.rs` holds a
 //! reports-unperturbed test to that contract).
 //!
-//! Their state is partitioned per device, so under the direct
-//! worker-thread delivery path ([`SharedSyncObserver`](crate::events::SharedSyncObserver)) every query-time
-//! result and every export is byte-identical for any cluster thread
-//! count, exactly like [`LoadMonitor`](crate::events::LoadMonitor).
+//! Each comes with a `shared` (`Rc`) and a `shared_sync` (`Arc<Mutex>`,
+//! see [`SharedSyncObserver`](crate::events::SharedSyncObserver))
+//! constructor. Both handle kinds receive one ordered stream, flushed on
+//! the driving thread in device order, so every query-time result and
+//! every export is byte-identical for any cluster thread count.
 //!
 //! A deliberate design note on sampling: [`Timeline`] does **not**
 //! add interaction points to the cluster's barrier loop. An extra barrier
@@ -309,11 +310,9 @@ pub struct MetricSample {
 /// key — requests, sheds, deferrals, kernel dispatches, occupancy
 /// integrals, queue depth.
 ///
-/// Register via [`MetricsHub::shared`] (ordered `Rc` flush) or
-/// [`MetricsHub::shared_sync`] (direct worker-thread delivery on a
-/// multi-threaded [`Cluster`](crate::cluster::Cluster)); state is
-/// partitioned per device, so both paths yield identical query-time
-/// results for every thread count.
+/// Register via [`MetricsHub::shared`] or [`MetricsHub::shared_sync`];
+/// either handle receives the same ordered stream, so the registry is
+/// identical for every [`Cluster`](crate::cluster::Cluster) thread count.
 ///
 /// ```
 /// use tally_core::harness::{Colocation, HarnessConfig, JobSpec, WorkloadOp};
@@ -365,9 +364,10 @@ impl MetricsHub {
         Rc::new(RefCell::new(MetricsHub::new()))
     }
 
-    /// A thread-safe shared handle (see [`SharedSyncObserver`](crate::events::SharedSyncObserver)): state is
-    /// partitioned per device, so direct worker-thread delivery yields
-    /// the same registry as the ordered flush.
+    /// A thread-safe shared handle (see
+    /// [`SharedSyncObserver`](crate::events::SharedSyncObserver)). It
+    /// receives the same ordered stream as [`MetricsHub::shared`], so the
+    /// registry is identical at every thread count.
     pub fn shared_sync() -> Arc<Mutex<MetricsHub>> {
         Arc::new(Mutex::new(MetricsHub::new()))
     }
@@ -767,9 +767,10 @@ impl Timeline {
         Rc::new(RefCell::new(Timeline::new(cadence, duration)))
     }
 
-    /// A thread-safe shared handle (see [`SharedSyncObserver`](crate::events::SharedSyncObserver)): the
-    /// series are partitioned per device, so direct worker-thread
-    /// delivery exports byte-identically to the ordered flush.
+    /// A thread-safe shared handle (see
+    /// [`SharedSyncObserver`](crate::events::SharedSyncObserver)). It
+    /// receives the same ordered stream as [`Timeline::shared`], so the
+    /// export is byte-identical at every thread count.
     pub fn shared_sync(cadence: SimSpan, duration: SimSpan) -> Arc<Mutex<Timeline>> {
         Arc::new(Mutex::new(Timeline::new(cadence, duration)))
     }
@@ -1082,9 +1083,10 @@ impl ChromeTraceWriter {
         Rc::new(RefCell::new(ChromeTraceWriter::new()))
     }
 
-    /// A thread-safe shared handle (see [`SharedSyncObserver`](crate::events::SharedSyncObserver)): events
-    /// are buffered per device, so the export is byte-identical under
-    /// direct worker-thread delivery.
+    /// A thread-safe shared handle (see
+    /// [`SharedSyncObserver`](crate::events::SharedSyncObserver)). It
+    /// receives the same ordered stream as [`ChromeTraceWriter::shared`],
+    /// so the export is byte-identical at every thread count.
     pub fn shared_sync() -> Arc<Mutex<ChromeTraceWriter>> {
         Arc::new(Mutex::new(ChromeTraceWriter::new()))
     }

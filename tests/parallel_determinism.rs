@@ -44,6 +44,19 @@ impl SessionObserver for Collector {
     }
 }
 
+/// Records delivery order as `(instant, device, variant)` — cheap enough
+/// for million-event streams, where rendering every event is not.
+type Delivery = (SimTime, usize, std::mem::Discriminant<Observation>);
+
+#[derive(Default)]
+struct OrderCollector(Vec<Delivery>);
+
+impl SessionObserver for OrderCollector {
+    fn on_event(&mut self, at: SimTime, device: usize, event: &Observation) {
+        self.0.push((at, device, std::mem::discriminant(event)));
+    }
+}
+
 fn cfg(secs: u64) -> HarnessConfig {
     HarnessConfig {
         duration: SimSpan::from_secs(secs),
@@ -231,12 +244,11 @@ fn flash_crowd_admission_is_identical_for_any_thread_count() {
 }
 
 #[test]
-fn direct_sync_delivery_keeps_reports_identical_for_any_thread_count() {
-    // With no `Rc` observer registered, worker threads deliver events to
-    // the shared `LoadMonitor` directly instead of through the ordered
-    // driving-thread flush. The load-aware policy then *reads* that
+fn monitor_only_fleet_reports_are_identical_for_any_thread_count() {
+    // No user observer is registered, so the cluster's built-in
+    // `LoadMonitor` is the only sink. The load-aware policy *reads* that
     // monitor for placement and rebalancing, so any thread-dependence in
-    // the direct path would show up as diverging reports here.
+    // what the monitor was fed would show up as diverging reports here.
     let run = |threads: usize| -> String {
         let spec = GpuSpec::a100();
         let c = cfg(4);
@@ -256,7 +268,7 @@ fn direct_sync_delivery_keeps_reports_identical_for_any_thread_count() {
         assert_eq!(
             baseline,
             run(threads),
-            "direct-delivery report diverged between threads=1 and threads={threads}"
+            "monitor-only report diverged between threads=1 and threads={threads}"
         );
     }
 }
@@ -279,15 +291,15 @@ fn phase_shifted_reports_are_identical_for_any_thread_count() {
     }
 }
 
-/// Telemetry exports for the phase-shifted mix, with the telemetry
-/// observers as the *only* observers — so delivery takes the direct
-/// worker-thread path, the hardest case for byte-stable exports.
-fn run_phase_shifted_telemetry(threads: usize) -> (String, String) {
+/// Telemetry exports and the delivery order for the phase-shifted mix,
+/// with every observer registered through its thread-safe handle.
+fn run_phase_shifted_telemetry(threads: usize) -> (String, String, Vec<Delivery>) {
     let spec = GpuSpec::a100();
     let c = cfg(4);
     let jobs = mixes::phase_shifted(&spec, SimSpan::from_millis(500), c.duration, 0.5);
     let timeline = Timeline::shared_sync(SimSpan::from_millis(250), c.duration);
     let trace = ChromeTraceWriter::shared_sync();
+    let order = std::sync::Arc::new(std::sync::Mutex::new(OrderCollector::default()));
     Cluster::new()
         .devices(2, spec)
         .clients(jobs)
@@ -295,12 +307,14 @@ fn run_phase_shifted_telemetry(threads: usize) -> (String, String) {
         .policy(LoadAware::default())
         .sync_observer(timeline.clone())
         .sync_observer(trace.clone())
+        .sync_observer(order.clone())
         .threads(threads)
         .config(c)
         .run();
     let trace_json = trace.lock().expect("trace").to_json();
     let timeline_json = timeline.lock().expect("timeline").to_json();
-    (trace_json, timeline_json)
+    let order = std::mem::take(&mut order.lock().expect("order").0);
+    (trace_json, timeline_json, order)
 }
 
 #[test]
@@ -309,9 +323,9 @@ fn chrome_trace_export_is_byte_identical_and_well_formed() {
     use std::collections::HashMap;
     use tally_bench::diff::{parse_json, Json};
 
-    let (base_trace, base_timeline) = run_phase_shifted_telemetry(1);
+    let (base_trace, base_timeline, base_order) = run_phase_shifted_telemetry(1);
     for threads in [2usize, 4] {
-        let (trace, timeline) = run_phase_shifted_telemetry(threads);
+        let (trace, timeline, order) = run_phase_shifted_telemetry(threads);
         assert_eq!(
             base_trace, trace,
             "Chrome trace diverged between threads=1 and threads={threads}"
@@ -319,6 +333,16 @@ fn chrome_trace_export_is_byte_identical_and_well_formed() {
         assert_eq!(
             base_timeline, timeline,
             "timeline export diverged between threads=1 and threads={threads}"
+        );
+        // Not `assert_eq!` on the vectors: printing millions of entries
+        // on failure would bury the first divergence.
+        let first = base_order.iter().zip(&order).position(|(a, b)| a != b);
+        assert!(
+            first.is_none() && base_order.len() == order.len(),
+            "sync-registered delivery order diverged between threads=1 and \
+             threads={threads} at event {first:?} of {} (vs {})",
+            base_order.len(),
+            order.len()
         );
     }
 
